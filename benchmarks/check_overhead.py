@@ -21,31 +21,53 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 #: Benchmarks that exercise the bare kernel dispatch loop.
 KERNEL_BENCHES = ("test_micro_event_throughput", "test_micro_event_chain")
-
-#: (instrumented, plain) soak pair: the series sampler's overhead is the
-#: ratio between the two *fresh* measurements, so this guard needs no
-#: recorded baseline and is immune to machine differences.
-SERIES_PAIR = ("test_micro_soak_with_series", "test_micro_soak_workload")
 
 #: The canonical voice soak behind ``soak_sim_seconds_per_wall_s``; must
 #: match ``bench_to_json.VOICE_SOAK_SIM_SECONDS``.
 VOICE_SOAK = "test_micro_soak_voice"
 VOICE_SOAK_SIM_SECONDS = 600.0
 
-#: (served, batch) soak pair: serve mode slices the *identical*
-#: open-loop workload through ``run_paced`` and publishes a telemetry
-#: view per quantum; its overhead over the batch run is a fresh-vs-fresh
-#: ratio like the series pair (no recorded baseline,
-#: machine-independent).
-PACING_PAIR = ("test_micro_soak_served", "test_micro_soak_openloop")
 
-#: (recorded, traced) soak pair: the always-on flight recorder rides
-#: the trace sink, so its cost is measured against the *traced* soak —
-#: fresh-vs-fresh like the series and pacing pairs.
-RECORDER_PAIR = ("test_micro_soak_flight_recorder", "test_micro_soak_traced")
+class FreshGate(NamedTuple):
+    """One fresh-vs-fresh overhead gate: an instrumented soak against
+    its plain twin from the *same* fresh run, so no recorded baseline
+    is involved and the ratio is immune to machine differences."""
+
+    #: Verdict-line prefix; ``{plain}`` / ``{inst}`` take the timings.
+    label: str
+    instrumented: str
+    plain: str
+    #: argparse dest of the budget flag.
+    tolerance_flag: str
+    #: Name reported in the failure tuple.
+    failure_key: str
+    #: Line printed when either bench is missing from the input.
+    skipped: str
+
+
+FRESH_GATES = (
+    # The series sampler against the plain closed-loop soak.
+    FreshGate("series sampler overhead: plain {plain}, sampled {inst}",
+              "test_micro_soak_with_series", "test_micro_soak_workload",
+              "series_tolerance", "series_sampler_overhead",
+              "series overhead: skipped (soak pair not in input)"),
+    # Serve mode slices the identical open-loop workload through
+    # run_paced and publishes a telemetry view per quantum.
+    FreshGate("serve pacing overhead: plain {plain}, served {inst}",
+              "test_micro_soak_served", "test_micro_soak_openloop",
+              "pacing_tolerance", "serve_pacing_overhead",
+              "pacing overhead: skipped (served/plain soak pair not in input)"),
+    # The always-on flight recorder rides the trace sink, so its cost
+    # is measured against the *traced* soak.
+    FreshGate("flight recorder overhead: traced {plain}, recorded {inst}",
+              "test_micro_soak_flight_recorder", "test_micro_soak_traced",
+              "recorder_tolerance", "flight_recorder_overhead",
+              "recorder overhead: skipped (traced soak pair not in input)"),
+)
 
 
 def check(fresh: dict, baseline: dict, tolerance: float) -> list:
@@ -70,71 +92,27 @@ def check(fresh: dict, baseline: dict, tolerance: float) -> list:
     return failures
 
 
-def check_series(fresh: dict, tolerance: float) -> list:
-    """Guard the time-series sampler's soak overhead: compares the
-    instrumented soak against the plain soak from the *same* fresh run
-    (fresh-vs-fresh, so no baseline file is involved)."""
+def check_fresh_pairs(fresh: dict, tolerances: dict) -> list:
+    """Walk :data:`FRESH_GATES`; *tolerances* maps each gate's
+    ``tolerance_flag`` to its budget (the parsed CLI namespace)."""
     fresh_by_name = {b["name"]: b["stats"] for b in fresh.get("benchmarks", [])}
-    with_series, plain = SERIES_PAIR
-    a = fresh_by_name.get(with_series)
-    b = fresh_by_name.get(plain)
-    if a is None or b is None:
-        print("series overhead: skipped (soak pair not in input)")
-        return []
-    ratio = a["min"] / b["min"]
-    verdict = "ok" if ratio <= tolerance else "REGRESSION"
-    print(
-        f"series sampler overhead: plain {b['min']:.5f}s, sampled "
-        f"{a['min']:.5f}s ({ratio:.2f}x, budget {tolerance:.2f}x) {verdict}"
-    )
-    if ratio > tolerance:
-        return [("series_sampler_overhead", ratio)]
-    return []
-
-
-def check_pacing(fresh: dict, tolerance: float) -> list:
-    """Guard serve-mode overhead: the served soak (run_paced slices +
-    one telemetry publish per quantum, rate-0 pacer) against the plain
-    batch soak from the *same* fresh run."""
-    fresh_by_name = {b["name"]: b["stats"] for b in fresh.get("benchmarks", [])}
-    served, plain = PACING_PAIR
-    a = fresh_by_name.get(served)
-    b = fresh_by_name.get(plain)
-    if a is None or b is None:
-        print("pacing overhead: skipped (served/plain soak pair not in input)")
-        return []
-    ratio = a["min"] / b["min"]
-    verdict = "ok" if ratio <= tolerance else "REGRESSION"
-    print(
-        f"serve pacing overhead: plain {b['min']:.5f}s, served "
-        f"{a['min']:.5f}s ({ratio:.2f}x, budget {tolerance:.2f}x) {verdict}"
-    )
-    if ratio > tolerance:
-        return [("serve_pacing_overhead", ratio)]
-    return []
-
-
-def check_recorder(fresh: dict, tolerance: float) -> list:
-    """Guard the flight recorder's soak overhead: the recorder-armed
-    traced soak against the plain traced soak from the *same* fresh run
-    (fresh-vs-fresh; ring appends are O(1) and capture never triggers,
-    so this bounds the always-on cost)."""
-    fresh_by_name = {b["name"]: b["stats"] for b in fresh.get("benchmarks", [])}
-    recorded, plain = RECORDER_PAIR
-    a = fresh_by_name.get(recorded)
-    b = fresh_by_name.get(plain)
-    if a is None or b is None:
-        print("recorder overhead: skipped (traced soak pair not in input)")
-        return []
-    ratio = a["min"] / b["min"]
-    verdict = "ok" if ratio <= tolerance else "REGRESSION"
-    print(
-        f"flight recorder overhead: traced {b['min']:.5f}s, recorded "
-        f"{a['min']:.5f}s ({ratio:.2f}x, budget {tolerance:.2f}x) {verdict}"
-    )
-    if ratio > tolerance:
-        return [("flight_recorder_overhead", ratio)]
-    return []
+    failures = []
+    for gate in FRESH_GATES:
+        a = fresh_by_name.get(gate.instrumented)
+        b = fresh_by_name.get(gate.plain)
+        if a is None or b is None:
+            print(gate.skipped)
+            continue
+        tolerance = tolerances[gate.tolerance_flag]
+        ratio = a["min"] / b["min"]
+        verdict = "ok" if ratio <= tolerance else "REGRESSION"
+        timings = gate.label.format(
+            plain=f"{b['min']:.5f}s", inst=f"{a['min']:.5f}s"
+        )
+        print(f"{timings} ({ratio:.2f}x, budget {tolerance:.2f}x) {verdict}")
+        if ratio > tolerance:
+            failures.append((gate.failure_key, ratio))
+    return failures
 
 
 def check_soak_throughput(fresh: dict, baseline: dict, tolerance: float) -> list:
@@ -214,9 +192,7 @@ def main(argv=None) -> int:
     with open(args.baseline) as fh:
         baseline = json.load(fh)
     failures = check(fresh, baseline, args.tolerance)
-    failures += check_series(fresh, args.series_tolerance)
-    failures += check_pacing(fresh, args.pacing_tolerance)
-    failures += check_recorder(fresh, args.recorder_tolerance)
+    failures += check_fresh_pairs(fresh, vars(args))
     failures += check_soak_throughput(fresh, baseline, args.soak_tolerance)
     if failures:
         names = ", ".join(f"{n} ({r:.2f}x)" for n, r in failures)

@@ -1,10 +1,20 @@
 """Unit tests for the trace recorder, metrics and RNG streams."""
 
+import math
+import tracemalloc
+from array import array
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TraceWindowError
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import Gauge, Histogram
+from repro.sim.metrics import (
+    Gauge,
+    Histogram,
+    _quantile_sorted,
+    summarize_samples,
+)
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecorder
 
@@ -124,6 +134,165 @@ class TestHistogram:
         assert h.quantile(0.7) == 42.0
 
 
+class ListHistogram:
+    """The list-of-boxed-floats store :class:`Histogram` used before it
+    was packed: the oracle its reads must match byte for byte."""
+
+    def __init__(self):
+        self.samples = []
+
+    def observe(self, value):
+        self.samples.append(value)
+
+    def observe_many(self, values):
+        self.samples.extend(values)
+
+    @property
+    def count(self):
+        return len(self.samples)
+
+    @property
+    def mean(self):
+        return sum(self.samples) / len(self.samples) if self.samples else 0.0
+
+    @property
+    def minimum(self):
+        return min(self.samples) if self.samples else 0.0
+
+    @property
+    def maximum(self):
+        return max(self.samples) if self.samples else 0.0
+
+    @property
+    def stdev(self):
+        n = len(self.samples)
+        if n < 2:
+            return 0.0
+        mu = self.mean
+        return math.sqrt(sum((x - mu) ** 2 for x in self.samples) / (n - 1))
+
+    def quantile(self, q):
+        if not self.samples:
+            return 0.0
+        return _quantile_sorted(sorted(self.samples), q)
+
+    def summary(self):
+        return summarize_samples(self.samples[:])
+
+    def window_summary(self, start):
+        return summarize_samples(self.samples[start:])
+
+    def fraction_below(self, threshold):
+        if not self.samples:
+            return 0.0
+        return sum(1 for x in self.samples if x < threshold) / len(self.samples)
+
+
+def _assert_same_read(read, packed, ref):
+    """``read(packed)`` and ``read(ref)`` return equal, ``repr``-identical
+    results, or raise the same error: huge magnitudes can overflow
+    ``x ** 2``."""
+    results = []
+    for h in (packed, ref):
+        try:
+            results.append(read(h))
+        except ArithmeticError as exc:
+            results.append(type(exc).__name__)
+    got, want = results
+    assert repr(got) == repr(want)
+    if "nan" not in repr(want):  # nan != nan; repr already matched
+        assert got == want
+
+
+# Finite floats, biased towards signed zero, subnormals and the extremes.
+finite_st = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308,
+    ]),
+)
+op_st = st.one_of(
+    st.tuples(st.just("observe"), finite_st),
+    st.tuples(st.just("observe_many"), st.lists(finite_st, max_size=8)),
+    st.tuples(st.just("quantile"), st.floats(min_value=0.0, max_value=1.0)),
+)
+
+
+class TestPackedHistogram:
+    @given(
+        ops=st.lists(op_st, max_size=40),
+        qs=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+        thresholds=st.lists(finite_st, max_size=3),
+        start=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reads_match_list_store(self, ops, qs, thresholds, start):
+        packed, ref = Histogram("h"), ListHistogram()
+        for op, arg in ops:
+            # Interleaved quantile reads build and invalidate the
+            # sorted cache between observations.
+            if op == "quantile":
+                _assert_same_read(lambda h, q=arg: h.quantile(q), packed, ref)
+            else:
+                getattr(packed, op)(arg)
+                getattr(ref, op)(arg)
+        reads = [
+            lambda h: h.summary(),
+            lambda h: h.window_summary(start),
+            lambda h: h.count,
+            lambda h: h.mean,
+            lambda h: h.minimum,
+            lambda h: h.maximum,
+            lambda h: h.stdev,
+            *(lambda h, q=q: h.quantile(q) for q in qs),
+            *(lambda h, x=x: h.fraction_below(x) for x in thresholds),
+        ]
+        for read in reads:
+            _assert_same_read(read, packed, ref)
+
+    def test_storage_is_packed(self):
+        # 200,000 samples as boxed floats in a list cost ~6.4 MB (24 B
+        # per float + 8 B per pointer); packed doubles cost 1.6 MB plus
+        # the array's growth slack.
+        h = Histogram("h")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for batch in range(4000):
+                base = batch * 50
+                h.observe_many([(base + i) * 1e-3 for i in range(50)])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert h.count == 200_000
+        assert held < 2.5e6, f"histogram holds {held / 1e6:.2f} MB"
+
+    def test_int_observation_is_stored_as_float(self):
+        h = Histogram("h")
+        h.observe(3)
+        h.observe_many([1, 2])
+        assert [type(x) for x in h.samples] == [float, float, float]
+        assert h.samples == array("d", [3.0, 1.0, 2.0])
+        summary = h.summary()
+        assert repr(summary["min"]) == "1.0"
+        assert repr(summary["max"]) == "3.0"
+        assert repr(h.quantile(0.5)) == "2.0"
+
+    def test_observe_after_reads(self):
+        # No read may leave a buffer export of the live array behind:
+        # a held memoryview would make the next append raise BufferError.
+        h = Histogram("h")
+        h.observe_many([2.0, 1.0])
+        h.summary()
+        h.window_summary(1)
+        h.quantile(0.5)
+        h.fraction_below(1.5)
+        h.observe(0.5)
+        h.observe_many([4.0])
+        assert h.count == 4
+
+
 class TestGauge:
     def test_time_weighted_integral(self):
         clock = {"t": 0.0}
@@ -225,7 +394,8 @@ class TestRegistryDumps:
         assert h._sorted is None           # built lazily
         assert h.quantile(0.5) == 2.0
         cached = h._sorted
-        assert cached == [1.0, 2.0, 3.0]
+        assert cached == array("d", [1.0, 2.0, 3.0])
+        assert cached.typecode == "d"      # packed, like the samples
         assert h.quantile(1.0) == 3.0
         assert h._sorted is cached         # reused across reads
         h.observe(0.0)
