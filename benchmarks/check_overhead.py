@@ -8,9 +8,9 @@ slower than the allowed factor::
         -k "event_throughput or event_chain" --benchmark-json=/tmp/b.json
     python benchmarks/check_overhead.py /tmp/b.json --tolerance 1.6
 
-The observability layer (spans, profiler hooks, trace sink) must be
-free when disabled: the fast event loop is untouched and the per-entry
-sink is one attribute check.  Local regression budget is 5%
+The observability layer (spans, trace sinks, series, recorder) must be
+free when disabled: the event loop is untouched and each trace entry
+walks a short list of sink subscribers.  Local regression budget is 5%
 (``--tolerance 1.05``); CI shares cores with other jobs, so its default
 budget is looser — the guard is for order-of-magnitude mistakes (an
 accidentally always-on profiler), not for microbenchmark jitter.

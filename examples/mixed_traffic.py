@@ -51,7 +51,7 @@ def main() -> None:
          ("TCHs in use at the end", nw.bscs[0].tch_in_use),
          ("PDP contexts at the SGSN", nw.sgsn.context_count()),
          ("context residency", f"{nw.sgsn.context_residency():.0f} ctx-s"),
-         ("events executed", nw.sim.pending_events)],
+         ("events executed", nw.sim.events_executed)],
         title="Two minutes of mixed vGPRS traffic",
     ))
 

@@ -25,8 +25,10 @@ Every scenario accepts the observability flags:
 * ``--trace-out FILE``   — JSONL trace with correlated call spans;
 * ``--metrics-out FILE`` — Prometheus text-format metrics snapshot
   (sweeps merge the per-worker snapshots deterministically);
-* ``--profile``          — per-event-type kernel profile table;
-* ``--heartbeat SECS``   — progress lines on stderr for long runs;
+* ``--profile``          — cProfile report: self-time share per
+  ``repro`` package plus the top functions by self time;
+* ``--heartbeat SECS``   — progress lines on stderr for long runs
+  (simulated clock, events executed, live event count);
 * ``--series-out FILE``  — sim-time-bucketed metric time series (JSON;
   sweeps merge per-worker series deterministically);
 * ``--series-interval SECS`` — series bucket width (default 1.0);
@@ -309,7 +311,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="profile the kernel and print a per-event-type table",
+        help="profile the run with cProfile and print per-package "
+             "self-time shares and the top functions",
     )
     parser.add_argument(
         "--heartbeat",

@@ -5,7 +5,8 @@ Layers on the :mod:`repro.sim` primitives (``TraceRecorder``,
 
 * :mod:`repro.obs.spans` — correlated per-procedure spans keyed by
   IMSI/call-ref, attached to every trace entry;
-* :mod:`repro.obs.profiler` — opt-in per-event-type kernel profiling;
+* :mod:`repro.obs.profiler` — the ``--profile`` report: a cProfile run
+  split into per-package self-time shares and the top functions;
 * :mod:`repro.obs.heartbeat` — periodic progress lines for soak runs;
 * :mod:`repro.obs.export` — JSONL traces, span trees, snapshot merging;
 * :mod:`repro.obs.prom` — Prometheus text-format metric snapshots;
@@ -24,7 +25,7 @@ Layers on the :mod:`repro.sim` primitives (``TraceRecorder``,
 * :mod:`repro.obs.session` — the ``python -m repro`` flag plumbing.
 
 Nothing here imports :mod:`repro.sim.kernel` (the kernel imports the
-span tracker and profiler), so the dependency arrow stays one-way.
+span tracker), so the dependency arrow stays one-way.
 """
 
 from repro.obs.export import (
@@ -37,7 +38,7 @@ from repro.obs.export import (
 )
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.hops import HopRecorder, HopSegment, render_bar, render_waterfall
-from repro.obs.profiler import KernelProfiler
+from repro.obs.profiler import render_profile
 from repro.obs.prom import render_prometheus, sanitize_name
 from repro.obs.recorder import (
     FlightRecorder,
@@ -69,7 +70,6 @@ __all__ = [
     "Heartbeat",
     "HopRecorder",
     "HopSegment",
-    "KernelProfiler",
     "ObsSession",
     "SeriesSampler",
     "SloError",
@@ -93,6 +93,7 @@ __all__ = [
     "parse_slo_rules",
     "plain_value",
     "render_bar",
+    "render_profile",
     "render_prometheus",
     "render_slo_report",
     "render_span_tree",

@@ -6,12 +6,13 @@ last beat (and the wall-clock event rate), and the live event count::
 
     [hb soak] t=300.0s events=1204233 (+24084, 80561/s wall) live=412
 
-Enabling a heartbeat flips the simulator to its instrumented run loop
-(the fast loop does not maintain ``events_executed`` per event), so it
-is opt-in — soak benchmarks with the heartbeat off keep the untouched
-hot path.  Beat events ride the normal event queue at fractional-second
-offsets chosen by the caller; they read wall time but never feed it
-back into simulation state, so the trace stays deterministic.
+``events=`` is :attr:`Simulator.events_executed
+<repro.sim.kernel.Simulator.events_executed>` at the beat (the beat
+itself included), which the event queue's accounting keeps exact under
+every driver, so a heartbeat changes nothing about how the simulator
+runs.  Beat events ride the normal event queue; they read wall time but
+never feed it back into simulation state, so the trace stays
+deterministic.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class Heartbeat:
         """Arm the heartbeat; the first line appears one period from now."""
         if self._event is not None:
             return self
-        self.sim.count_events = True
         self._last_events = self.sim.events_executed
         self._last_wall = time.perf_counter()
         self._event = self.sim.schedule(self.period, self._beat)
@@ -62,7 +62,6 @@ class Heartbeat:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        self.sim.count_events = False
 
     def _beat(self) -> None:
         self.beats += 1

@@ -74,13 +74,17 @@ def render_prometheus(source: Any, prefix: str = "repro_") -> str:
     (:meth:`~repro.sim.metrics.MetricsRegistry.snapshot` copies each
     metric family atomically and never mutates gauge state), so the
     render never iterates a dict the simulation thread is growing."""
-    snapshot: Dict[str, Any]
+    # Snapshot-copy before render: after this call everything below
+    # works on plain data owned by this thread alone.
     if hasattr(source, "snapshot"):
-        # Snapshot-copy before render: after this call everything below
-        # works on plain data owned by this thread alone.
-        snapshot = source.snapshot()
-    else:
-        snapshot = source
+        source = source.snapshot()
+    return render_snapshot(source, prefix)
+
+
+def render_snapshot(snapshot: Dict[str, Any], prefix: str = "repro_") -> str:
+    """:func:`render_prometheus` for a plain snapshot dict only — what
+    the serve scrape thread renders, so it never reaches a live
+    registry."""
     lines: List[str] = []
     for name, value in snapshot["counters"].items():
         series = sanitize_name(name, prefix)

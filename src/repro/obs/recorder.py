@@ -2,9 +2,9 @@
 
 A live service cannot keep a full trace of everything that ever
 happened, yet the moment an alert fires the operator needs exactly the
-history that just scrolled away.  A :class:`FlightRecorder` sits on the
-same passive hooks the span tracker and SLO watchdog already use —
-``TraceRecorder.sink``, ``SpanTracker.on_close``,
+history that just scrolled away.  A :class:`FlightRecorder` subscribes
+to the same passive hook lists the span tracker and SLO watchdog
+already use — ``TraceRecorder.sinks``, ``SpanTracker.on_close``,
 ``SeriesSampler.on_bucket``, ``AlertManager.on_transition`` — and keeps
 four bounded rings of recent history: trace entries, span closures,
 series buckets and alert transitions.  Appends are O(1)
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.obs.export import is_incident
 from repro.sim.trace import TraceEntry
@@ -99,8 +99,8 @@ class FlightRecorder:
     Parameters
     ----------
     sim:
-        The simulator to record; hooks chain onto its trace recorder
-        and span tracker at :meth:`arm`.
+        The simulator to record; :meth:`arm` subscribes to its trace
+        recorder and span tracker.
     run:
         Run label stamped into every bundle (matches the ObsSession /
         trace-export run names).
@@ -159,63 +159,31 @@ class FlightRecorder:
         self._pending: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
-    # Arming (hook chaining; every previous hook keeps running first)
+    # Subscribing (appended, so earlier subscribers keep running first)
     # ------------------------------------------------------------------
     def arm(self) -> "FlightRecorder":
-        """Chain onto the trace sink and the span tracker's close hook.
-        Idempotent; safe to call on a sim whose span tracker already
-        feeds from the sink (the kernel installs that chain itself)."""
-        if self._armed:
-            return self
-        self._armed = True
-        trace = self.sim.trace
-        previous_sink: Optional[Callable[[TraceEntry], None]] = trace.sink
-
-        def sink(entry: TraceEntry) -> None:
-            if previous_sink is not None:
-                previous_sink(entry)
-            self._on_entry(entry)
-
-        trace.sink = sink
-        spans = self.sim.spans
-        previous_close: Optional[Callable[[Any], None]] = spans.on_close
-
-        def on_close(span: Any) -> None:
-            if previous_close is not None:
-                previous_close(span)
-            self._on_span_close(span)
-
-        spans.on_close = on_close
+        """Subscribe to the trace sinks (after the span tracker) and to
+        the span tracker's close hooks.  Idempotent."""
+        if not self._armed:
+            self._armed = True
+            self.sim.trace.sinks.append(self._on_entry)
+            self.sim.spans.on_close.append(self._on_span_close)
         return self
 
     def attach_sampler(self, sampler: Any) -> "FlightRecorder":
-        """Ring every bucket *sampler* closes (after whatever hook was
-        already installed — SLO watchdog, alert manager)."""
-        previous = sampler.on_bucket
-
-        def hook(s: Any, bucket: Dict[str, Any]) -> None:
-            if previous is not None:
-                previous(s, bucket)
-            self._on_bucket(bucket)
-
-        sampler.on_bucket = hook
+        """Ring every bucket *sampler* closes (after the subscribers
+        already attached — SLO watchdog)."""
+        sampler.on_bucket.append(self._on_bucket)
         return self
 
     def attach_alerts(self, manager: Any) -> "FlightRecorder":
         """Ring every alert transition *manager* records; a rule leaving
         ``ok`` (a ``pending`` transition) triggers an incident capture."""
-        previous = manager.on_transition
-
-        def hook(entry: Dict[str, Any]) -> None:
-            if previous is not None:
-                previous(entry)
-            self._on_alert_transition(entry)
-
-        manager.on_transition = hook
+        manager.on_transition.append(self._on_alert_transition)
         return self
 
     # ------------------------------------------------------------------
-    # Hook bodies (sim thread only; pure appends, no scheduling)
+    # Subscribers (sim thread only; pure appends, no scheduling)
     # ------------------------------------------------------------------
     def _on_entry(self, entry: TraceEntry) -> None:
         self._maybe_finalize(entry.time)

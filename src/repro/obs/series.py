@@ -75,10 +75,9 @@ class SeriesSampler:
         self.buckets: List[Dict[str, Any]] = []
         #: Times the retention bound forced a pairwise coarsen.
         self.coarsenings = 0
-        #: Hook called with each freshly closed bucket (SLO watchdog).
-        self.on_bucket: Optional[
-            Callable[["SeriesSampler", Dict[str, Any]], None]
-        ] = None
+        #: Subscribers called in order with each freshly closed bucket
+        #: (SLO watchdog, flight recorder, alert manager).
+        self.on_bucket: List[Callable[[Dict[str, Any]], None]] = []
         self._event: Optional[Any] = None
         self._prev_counters: Dict[str, int] = {}
         self._prev_integrals: Dict[str, float] = {}
@@ -153,9 +152,8 @@ class SeriesSampler:
             "histograms": histograms,
         }
         self.buckets.append(bucket)
-        hook = self.on_bucket
-        if hook is not None:
-            hook(self, bucket)
+        for hook in self.on_bucket:
+            hook(bucket)
 
     # ------------------------------------------------------------------
     # Export

@@ -10,6 +10,7 @@ is built, and writes every artefact at the end.  Kept in the library
 
 from __future__ import annotations
 
+import cProfile
 import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -17,6 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.obs.export import export_trace_jsonl, merge_snapshots
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.hops import HopRecorder, render_waterfall
+from repro.obs.profiler import render_profile
 from repro.obs.prom import render_prometheus
 from repro.obs.recorder import FlightRecorder, merge_incidents
 from repro.obs.series import SeriesSampler, merge_series
@@ -71,6 +73,9 @@ class ObsSession:
         self.slo_rules: List[SloRule] = parse_slo_rules(slo) if slo else []
         #: Exit status for the CLI: 1 once any SLO rule fails.
         self.exit_code = 0
+        #: The ``--profile`` profiler: enabled at the first watch(),
+        #: disabled and reported by finish().
+        self.profiler: Optional[cProfile.Profile] = None
         self._sims: List[Tuple[str, Any]] = []
         self._heartbeats: List[Heartbeat] = []
         self._samplers: List[Tuple[str, SeriesSampler]] = []
@@ -109,8 +114,9 @@ class ObsSession:
         # no events scheduled — capture costs nothing until triggered.
         recorder = FlightRecorder(sim, run=run).arm()
         self._recorders.append((run, recorder))
-        if self.profile:
-            sim.enable_profiler()
+        if self.profile and self.profiler is None:
+            self.profiler = cProfile.Profile()
+            self.profiler.enable()
         if self.heartbeat:
             self._heartbeats.append(
                 Heartbeat(
@@ -149,6 +155,8 @@ class ObsSession:
         """Stop instrumentation, write every requested artefact, print
         profiler/waterfall/SLO reports; returns the exit code (nonzero
         when an SLO rule failed)."""
+        if self.profiler is not None:
+            self.profiler.disable()
         for hb in self._heartbeats:
             hb.stop()
         self._heartbeats.clear()
@@ -243,9 +251,6 @@ class ObsSession:
                 f"no incidents captured; nothing written to "
                 f"{self.incident_dir}"
             )
-        if self.profile:
-            for run, sim in self._sims:
-                profiler = sim.profiler
-                if profiler is not None and profiler.stats:
-                    echo(profiler.report(title=f"kernel profile [{run}]"))
+        if self.profiler is not None:
+            echo(render_profile(self.profiler))
         return self.exit_code

@@ -186,7 +186,7 @@ class SloResult:
 class SloWatchdog:
     """Evaluates parsed rules against series buckets as they close.
 
-    Hook it onto a sampler with :meth:`attach` (sets
+    Subscribe it to a sampler with :meth:`attach` (appends to
     ``sampler.on_bucket``), or replay a finished serialised series with
     :func:`evaluate_series`.  All state advances only on bucket
     boundaries, so evaluation is deterministic for a seeded run.
@@ -217,14 +217,11 @@ class SloWatchdog:
     # Feeding
     # ------------------------------------------------------------------
     def attach(self, sampler: Any) -> "SloWatchdog":
-        """Become *sampler*'s bucket hook; also aligns the idle clock to
-        the sampler's start instant."""
+        """Subscribe to every bucket *sampler* closes; also aligns the
+        idle clock to the sampler's start instant."""
         self.start = self.now = self._prev_t = sampler.started_at
-        sampler.on_bucket = self.observe_bucket
+        sampler.on_bucket.append(self.push)
         return self
-
-    def observe_bucket(self, sampler: Any, bucket: Dict[str, Any]) -> None:
-        self.push(bucket)
 
     def push(self, bucket: Dict[str, Any]) -> None:
         """Fold one closed bucket into the state and check the windowed

@@ -145,8 +145,8 @@ class SpanTracker:
     """Registry of open spans and archive of closed ones.
 
     One tracker hangs off every :class:`~repro.sim.kernel.Simulator` as
-    ``sim.spans`` and receives each recorded trace entry through
-    ``TraceRecorder.sink``.  The per-entry cost with no spans open is a
+    ``sim.spans`` and receives each recorded trace entry as the first of
+    ``TraceRecorder.sinks``.  The per-entry cost with no spans open is a
     single dict truthiness check.
     """
 
@@ -160,10 +160,9 @@ class SpanTracker:
         #: Retention bound; when exceeded, the oldest *closed* half is
         #: discarded in one batch, mirroring TraceRecorder.set_limit.
         self.max_spans: Optional[int] = None
-        #: Called with each span as it closes (after deregistration);
-        #: the flight recorder hooks in here.  Kept as a plain attribute
-        #: so the no-observer close costs one attribute load.
-        self.on_close: Optional[Callable[[Span], None]] = None
+        #: Subscribers called in order with each span as it closes
+        #: (after deregistration); the flight recorder appends here.
+        self.on_close: List[Callable[[Span], None]] = []
         self._seq = 0
         # (field, str(value)) -> open spans registered under that key,
         # in open order; the innermost match is the last element.
@@ -232,8 +231,7 @@ class SpanTracker:
                 pass
             if not bucket:
                 del self._open_by_key[(field, value)]
-        hook = self.on_close
-        if hook is not None:
+        for hook in self.on_close:
             hook(span)
 
     def _trim(self) -> None:
@@ -268,7 +266,7 @@ class SpanTracker:
         return best
 
     def on_entry(self, entry: Any) -> None:
-        """TraceRecorder sink: attach *entry* to the innermost open span
+        """Trace sink: attach *entry* to the innermost open span
         sharing a correlation key, learning transaction ids on the way."""
         by_key = self._open_by_key
         if not by_key and not self._learned:

@@ -61,9 +61,9 @@ class Alert:
 class AlertManager:
     """Folds series buckets and steps each rule's alert lifecycle.
 
-    Chain it onto an armed :class:`~repro.obs.series.SeriesSampler` with
-    :meth:`attach`; any previously installed bucket hook (the batch SLO
-    watchdog) keeps running first, so ``--slo`` verdicts and ``--alert``
+    Subscribe it to an armed :class:`~repro.obs.series.SeriesSampler`
+    with :meth:`attach`; earlier bucket subscribers (the batch SLO
+    watchdog) keep running first, so ``--slo`` verdicts and ``--alert``
     lifecycles coexist on one sampler.
     """
 
@@ -88,25 +88,18 @@ class AlertManager:
         self.transitions: List[Dict[str, Any]] = []
         #: Total transitions, including ones past the recording bound.
         self.transition_count = 0
-        #: Called with each transition entry (the flight recorder hooks
-        #: in here; a plain attribute, like ``TraceRecorder.sink``).
-        self.on_transition: Optional[Callable[[Dict[str, Any]], None]] = None
+        #: Subscribers called in order with each transition entry (the
+        #: flight recorder appends here).
+        self.on_transition: List[Callable[[Dict[str, Any]], None]] = []
         self._dog: Optional[SloWatchdog] = None
 
     def attach(self, sampler: Any) -> "AlertManager":
-        """Evaluate on every bucket *sampler* closes (after whatever
-        hook was already installed)."""
+        """Evaluate on every bucket *sampler* closes (after the
+        subscribers already attached)."""
         self._dog = SloWatchdog(self.rules, start=sampler.started_at)
         for alert in self.alerts:
             alert.since = sampler.started_at
-        previous = sampler.on_bucket
-
-        def hook(s: Any, bucket: Dict[str, Any]) -> None:
-            if previous is not None:
-                previous(s, bucket)
-            self.observe_bucket(bucket)
-
-        sampler.on_bucket = hook
+        sampler.on_bucket.append(self.observe_bucket)
         return self
 
     def observe_bucket(self, bucket: Dict[str, Any]) -> None:
@@ -157,8 +150,7 @@ class AlertManager:
         self.transition_count += 1
         if len(self.transitions) < MAX_TRANSITIONS:
             self.transitions.append(entry)
-        hook = self.on_transition
-        if hook is not None:
+        for hook in self.on_transition:
             hook(entry)
         if self.log is not None:
             self.log(

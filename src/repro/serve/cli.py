@@ -149,7 +149,8 @@ def make_parser() -> argparse.ArgumentParser:
                      help="print a progress line to stderr every SECS "
                           "simulated seconds")
     obs.add_argument("--profile", action="store_true",
-                     help="profile the kernel and print a per-event table")
+                     help="profile the run with cProfile and print "
+                          "per-package self-time shares")
     obs.add_argument("--slo", metavar="RULES",
                      help="SLO rules judged with batch (sticky-fail) "
                           "semantics at shutdown, alongside the live "

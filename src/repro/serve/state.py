@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-from repro.obs.prom import render_prometheus
+from repro.obs.prom import render_snapshot
 
 
 class ServeState:
@@ -62,7 +62,7 @@ class ServeState:
         snapshot = self._view["snapshot"]
         if snapshot is None:
             return "# no snapshot published yet\n"
-        return render_prometheus(snapshot)
+        return render_snapshot(snapshot)
 
     def status_json(self) -> str:
         return json.dumps(self._view["status"], sort_keys=True) + "\n"

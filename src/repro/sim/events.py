@@ -11,12 +11,19 @@ The heap stores plain ``(time, priority, seq, event)`` tuples rather than
 comparisons instead of Python ``__lt__`` calls — the single hottest
 operation in soak runs.  The unique sequence number guarantees the
 ``event`` element is never compared.
+
+Accounting needs no per-event counter.  The queue counts events pushed
+(``_seq``), cancelled events still in the heap (``_dead``) and events
+removed without running (``_discarded``: cancelled, or cleared).  Every
+other pushed event has run, so ``len(queue) == len(heap) - _dead`` and
+``executed == _seq - len(heap) - _discarded``.  Whoever pops a live
+event to run it sets its ``_queue`` to ``None``; a later
+:meth:`Event.cancel` on the fired event then changes no count.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -62,15 +69,16 @@ class Event:
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when it is popped.
 
-        Accounting is handled here: the owning queue's live count drops
-        exactly once however the cancellation is reached (directly, or
-        via :meth:`repro.sim.kernel.Simulator.cancel`)."""
+        The owning queue counts the event dead exactly once however the
+        cancellation is reached (directly, or via
+        :meth:`repro.sim.kernel.Simulator.cancel`), and not at all once
+        the event has fired or the queue was cleared."""
         if self.cancelled:
             return
         self.cancelled = True
         queue = self._queue
         if queue is not None:
-            queue._note_cancel()
+            queue._dead += 1
 
     @property
     def sort_key(self) -> tuple:
@@ -95,14 +103,23 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
-        self._counter = itertools.count()
-        self._live = 0
+        #: Events ever pushed; also the next sequence number.
+        self._seq = 0
+        #: Cancelled events still in the heap.
+        self._dead = 0
+        #: Events removed without running (cancelled or cleared).
+        self._discarded = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._dead
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > self._dead
+
+    @property
+    def executed(self) -> int:
+        """Events popped to run (including one running right now)."""
+        return self._seq - len(self._heap) - self._discarded
 
     def push(
         self,
@@ -115,38 +132,43 @@ class EventQueue:
         """Schedule *callback* at absolute *time* and return the event."""
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
-        seq = next(self._counter)
+        seq = self._seq
+        self._seq = seq + 1
         event = Event(time, priority, seq, callback, args, kwargs or {}, self)
         heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
         return event
 
+    def _drop_dead(self) -> None:
+        """Account for one cancelled event just popped off the heap."""
+        self._dead -= 1
+        self._discarded += 1
+
     def pop(self) -> Event:
-        """Remove and return the next non-cancelled event.
+        """Remove and return the next non-cancelled event, marked fired.
 
         Raises :class:`SimulationError` when the queue is empty.
         """
+        event = self.pop_next()
+        if event is None:
+            raise SimulationError("pop from empty event queue")
+        return event
+
+    def pop_next(self) -> Optional[Event]:
+        """Remove and return the next live event (marked fired), or
+        ``None`` when empty."""
         heap = self._heap
         while heap:
             event = heapq.heappop(heap)[3]
             if event.cancelled:
+                self._drop_dead()
                 continue
-            self._live -= 1
+            event._queue = None
             return event
-        raise SimulationError("pop from empty event queue")
-
-    def pop_next(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` when empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if not event.cancelled:
-                self._live -= 1
-                return event
         return None
 
     def pop_due(self, limit: float) -> Optional[Event]:
-        """Remove and return the next live event with ``time <= limit``.
+        """Remove and return the next live event with ``time <= limit``,
+        marked fired.
 
         Returns ``None`` without popping when the queue is empty or the
         next live event lies beyond *limit*.  This fuses the kernel's
@@ -155,14 +177,16 @@ class EventQueue:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[3].cancelled:
+            event = entry[3]
+            if event.cancelled:
                 heapq.heappop(heap)
+                self._drop_dead()
                 continue
             if entry[0] > limit:
                 return None
             heapq.heappop(heap)
-            self._live -= 1
-            return entry[3]
+            event._queue = None
+            return event
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -170,11 +194,8 @@ class EventQueue:
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
+            self._drop_dead()
         return heap[0][0] if heap else None
-
-    def _note_cancel(self) -> None:
-        if self._live > 0:
-            self._live -= 1
 
     def note_cancelled(self) -> None:
         """Deprecated compatibility shim.
@@ -184,7 +205,9 @@ class EventQueue:
         is counted exactly once; calling this is a no-op."""
 
     def clear(self) -> None:
+        """Discard every queued event without running it."""
         for entry in self._heap:
             entry[3]._queue = None
+        self._discarded += len(self._heap)
         self._heap.clear()
-        self._live = 0
+        self._dead = 0

@@ -18,11 +18,9 @@ Example
 from __future__ import annotations
 
 import heapq
-import time as _time
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.obs.profiler import KernelProfiler
 from repro.obs.spans import SpanTracker
 from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import MetricsRegistry
@@ -67,18 +65,11 @@ class Simulator:
         self.rng = RandomStreams(seed)
         self.trace = TraceRecorder(clock=lambda: self._now)
         self.metrics = MetricsRegistry(clock=lambda: self._now)
-        #: Correlated procedure spans; fed by the trace recorder's sink.
+        #: Correlated procedure spans; the trace recorder's first sink.
         self.spans = SpanTracker(clock=lambda: self._now)
-        self.trace.sink = self.spans.on_entry
+        self.trace.sinks.append(self.spans.on_entry)
         #: Globally unique H.225 call references for this simulation.
         self.call_refs = _Allocator(start=1001)
-        #: Total events executed across all run() calls.  Maintained per
-        #: event only by the instrumented loop (heartbeats read it live);
-        #: the fast loop settles it once per run() return.
-        self.events_executed = 0
-        #: Set by observers (heartbeat) that need per-event accounting;
-        #: forces the instrumented loop even without a profiler.
-        self.count_events = False
         #: Per-link hop recorder (``None`` when latency attribution is
         #: off; the link layer pays one attribute load for the check).
         self.hops: Optional["HopRecorder"] = None
@@ -86,7 +77,6 @@ class Simulator:
         #: :mod:`repro.media.fluid`).  Media endpoints pay one attribute
         #: load per received frame for the check.
         self.media = None
-        self._profiler: Optional[KernelProfiler] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -116,10 +106,10 @@ class Simulator:
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
         queue = self._queue
-        seq = next(queue._counter)
+        seq = queue._seq
+        queue._seq = seq + 1
         event = Event(time, priority, seq, callback, args, kwargs, queue)
         heapq.heappush(queue._heap, (time, priority, seq, event))
-        queue._live += 1
         return event
 
     def schedule_at(
@@ -143,11 +133,20 @@ class Simulator:
         return self._queue.push(self._now, callback, args, kwargs, 0)
 
     def cancel(self, event: Optional[Event]) -> None:
-        """Cancel a scheduled event.  Cancelling ``None`` or an already
-        cancelled event is a no-op, which simplifies timer handling."""
+        """Cancel a scheduled event.  Cancelling ``None``, an already
+        cancelled event or one that has already fired is a no-op, which
+        simplifies timer handling."""
         if event is None:
             return
         event.cancel()
+
+    @property
+    def events_executed(self) -> int:
+        """Events executed so far by any driver (:meth:`run`,
+        :meth:`step`, :meth:`run_until_true`), counting the one running
+        now when read from inside a callback.  Derived from the queue's
+        push/discard accounting, so no loop pays a per-event counter."""
+        return self._queue.executed
 
     # ------------------------------------------------------------------
     # Running
@@ -171,8 +170,6 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
-        if self._profiler is not None or self.count_events:
-            return self._run_instrumented(until, max_events)
         self._running = True
         self._stopped = False
         executed = 0
@@ -190,11 +187,13 @@ class Simulator:
                 event = entry[3]
                 if event.cancelled:
                     pop(heap)
+                    queue._dead -= 1
+                    queue._discarded += 1
                     continue
                 if entry[0] > limit:
                     break
                 pop(heap)
-                queue._live -= 1
+                event._queue = None
                 now = entry[0]
                 self._now = now
                 event.callback(*event.args, **event.kwargs)
@@ -215,11 +214,13 @@ class Simulator:
                     event = entry[3]
                     if event.cancelled:
                         pop(heap)
+                        queue._dead -= 1
+                        queue._discarded += 1
                         continue
                     if entry[0] != now or self._stopped:
                         break
                     pop(heap)
-                    queue._live -= 1
+                    event._queue = None
                     event.callback(*event.args, **event.kwargs)
                     executed += 1
                     if executed >= max_events:
@@ -229,7 +230,6 @@ class Simulator:
                         )
         finally:
             self._running = False
-            self.events_executed += executed
         if until is not None and not self._stopped and self._now < until:
             self._now = until
         return executed
@@ -273,99 +273,6 @@ class Simulator:
             if until is not None and self._now >= until:
                 break
         return executed
-
-    def _run_instrumented(
-        self, until: Optional[float], max_events: int
-    ) -> int:
-        """The observable twin of :meth:`run`'s inlined loop.
-
-        Identical event ordering and clock behaviour, plus per-event
-        accounting: ``events_executed`` advances per event (heartbeats
-        read it mid-run) and, when a profiler is enabled, each callback
-        is timed under its qualified name.  Kept separate so the default
-        path pays nothing for any of this.
-        """
-        self._running = True
-        self._stopped = False
-        executed = 0
-        queue = self._queue
-        heap = queue._heap
-        pop = heapq.heappop
-        clock = _time.perf_counter
-        profiler = self._profiler
-        limit = float("inf") if until is None else until
-        try:
-            while not self._stopped:
-                if not heap:
-                    break
-                entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
-                    pop(heap)
-                    continue
-                if entry[0] > limit:
-                    break
-                pop(heap)
-                queue._live -= 1
-                now = entry[0]
-                self._now = now
-                while True:
-                    if profiler is not None:
-                        callback = event.callback
-                        key = getattr(callback, "__qualname__", None)
-                        if key is None:
-                            key = type(callback).__name__
-                        t0 = clock()
-                        callback(*event.args, **event.kwargs)
-                        profiler.record(key, clock() - t0)
-                    else:
-                        event.callback(*event.args, **event.kwargs)
-                    executed += 1
-                    self.events_executed += 1
-                    if executed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "probable protocol message loop"
-                        )
-                    # Same-timestamp batch, mirroring run() so both
-                    # loops execute identical event order.
-                    while heap and heap[0][3].cancelled:
-                        pop(heap)
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    if entry[0] != now or self._stopped:
-                        break
-                    pop(heap)
-                    queue._live -= 1
-                    event = entry[3]
-        finally:
-            self._running = False
-        if until is not None and not self._stopped and self._now < until:
-            self._now = until
-        return executed
-
-    # ------------------------------------------------------------------
-    # Profiling
-    # ------------------------------------------------------------------
-    @property
-    def profiler(self) -> Optional[KernelProfiler]:
-        return self._profiler
-
-    def enable_profiler(self) -> KernelProfiler:
-        """Switch subsequent :meth:`run` calls to the instrumented loop
-        and return the (new or existing) profiler."""
-        if self._profiler is None:
-            self._profiler = KernelProfiler()
-        return self._profiler
-
-    def disable_profiler(self) -> Optional[KernelProfiler]:
-        """Return to the fast loop; returns the detached profiler so its
-        accumulated stats can still be reported."""
-        profiler, self._profiler = self._profiler, None
-        if profiler is not None:
-            profiler.stopped_at = _time.perf_counter()
-        return profiler
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event finishes."""

@@ -95,10 +95,10 @@ class TraceRecorder:
         # queries about them raise instead of silently answering from a
         # partial window.
         self._evicted_names: set = set()
-        # Called with each recorded entry (after indexing); the span
-        # tracker hooks in here.  Kept as a plain attribute so the
-        # no-observer case costs one attribute load per record.
-        self.sink: Optional[Callable[[TraceEntry], None]] = None
+        #: Subscribers called in order with each recorded entry (after
+        #: indexing); the span tracker is the first, appended by the
+        #: kernel.  Subscribe by appending.
+        self.sinks: List[Callable[[TraceEntry], None]] = []
 
     def set_limit(self, limit: Optional[int]) -> None:
         """Bound the recorder to roughly *limit* entries (``None`` for
@@ -138,8 +138,7 @@ class TraceRecorder:
             bucket.append(entry)
         if self._limit is not None and len(self.entries) > self._limit:
             self._trim(self._limit)
-        sink = self.sink
-        if sink is not None:
+        for sink in self.sinks:
             sink(entry)
 
     def _trim(self, limit: int) -> None:

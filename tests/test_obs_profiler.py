@@ -1,50 +1,81 @@
-"""Tests for the kernel profiler, heartbeat and ObsSession plumbing."""
+"""Tests for the --profile report, heartbeat and ObsSession plumbing."""
 
 import json
+from types import SimpleNamespace
 
+from repro.core import scenarios
+from repro.core.network import build_vgprs_network
+from repro.net.link import Link
 from repro.obs.heartbeat import Heartbeat
-from repro.obs.profiler import KernelProfiler
+from repro.obs.profiler import OTHER, package_of, render_profile
 from repro.obs.session import ObsSession
 from repro.sim.kernel import Simulator
 
 import pytest
 
 
-class TestKernelProfiler:
-    def test_record_accumulates(self):
-        p = KernelProfiler()
-        p.record("A", 0.5)
-        p.record("A", 0.25)
-        p.record("B", 2.0)
-        assert p.total_events == 3
-        assert p.total_seconds == 2.75
-        assert p.snapshot() == {
-            "A": {"count": 2, "total_s": 0.75},
-            "B": {"count": 1, "total_s": 2.0},
-        }
+class FakeProfile:
+    """Stands in for cProfile.Profile: fixed getstats() entries, so the
+    report's arithmetic and ordering are checked without timing noise."""
 
-    def test_top_sorts_by_time_then_key(self):
-        p = KernelProfiler()
-        p.record("slow", 3.0)
-        p.record("tie_b", 1.0)
-        p.record("tie_a", 1.0)
-        p.record("fast", 0.1)
-        assert [row[0] for row in p.top()] == ["slow", "tie_a", "tie_b", "fast"]
-        assert [row[0] for row in p.top(n=2)] == ["slow", "tie_a"]
+    def __init__(self, *rows):
+        self.rows = [
+            SimpleNamespace(code=code, callcount=calls, inlinetime=seconds)
+            for code, calls, seconds in rows
+        ]
+
+    def getstats(self):
+        return self.rows
+
+
+def table(report):
+    """{package: share %} parsed from the package table."""
+    lines = report.splitlines()
+    end = next(i for i, line in enumerate(lines) if line.startswith("top "))
+    return {
+        line.split()[0]: float(line.split()[2].rstrip("%"))
+        for line in lines[2:end]
+    }
+
+
+class TestProfileReport:
+    def test_package_of(self):
+        assert package_of(Link._deliver.__code__.co_filename) == "net"
+        assert package_of(Simulator.run.__code__.co_filename) == "sim"
+        assert package_of(json.dumps.__code__.co_filename) == OTHER
+        assert package_of("~") == OTHER
+
+    def test_package_shares_accumulate(self):
+        report = render_profile(FakeProfile(
+            (Link._deliver.__code__, 4, 0.5),
+            (Link.transmit.__code__, 2, 0.25),
+            (Simulator.run.__code__, 1, 0.25),
+            ("<built-in method builtins.len>", 9, 1.0),
+        ))
+        assert report.startswith("=== profile: 2.000 s self time, 16 calls ===")
+        assert table(report) == {OTHER: 50.0, "net": 37.5, "sim": 12.5}
+
+    def test_top_sorts_by_self_time_then_label(self):
+        report = render_profile(FakeProfile(
+            ("<b>", 1, 1.0), ("<a>", 1, 1.0), ("<slow>", 1, 3.0),
+            ("<fast>", 1, 0.1),
+        ), top=3)
+        rows = report.splitlines()[-3:]
+        assert [row.split()[-1] for row in rows] == ["<slow>", "<a>", "<b>"]
 
     def test_report_renders(self):
-        p = KernelProfiler()
-        for i in range(20):
-            p.record(f"type_{i:02d}", 0.001 * (i + 1))
-        text = p.report(n=5)
-        assert "kernel profile" in text and "20 events" in text
-        assert "type_19" in text  # heaviest shown
-        assert "type_00" not in text  # beyond top-5
-        assert "15 more event types" in text
+        report = render_profile(FakeProfile(
+            *((f"<fn{i:02d}>", i + 1, 0.001 * (i + 1)) for i in range(20))
+        ), top=5)
+        assert "top 5 functions by self time:" in report
+        assert "<fn19>" in report  # heaviest shown
+        assert "<fn00>" not in report  # beyond top-5
+        (row,) = [line for line in report.splitlines() if "<fn19>" in line]
+        assert row.split() == ["20", "20.00", "<fn19>"]  # calls, self ms
 
     def test_empty_report(self):
-        text = KernelProfiler().report()
-        assert "0 events" in text  # no division-by-zero
+        text = render_profile(FakeProfile())
+        assert "0.000 s self time, 0 calls" in text  # no division by zero
 
 
 class TestSimulatorIntegration:
@@ -54,48 +85,61 @@ class TestSimulatorIntegration:
         return sim.run(until=10.0)
 
     def test_profiler_times_callbacks(self):
+        obs = ObsSession(profile=True)
         sim = Simulator()
-        profiler = sim.enable_profiler()
-        assert sim.enable_profiler() is profiler  # idempotent
-        executed = self.run_some_events(sim)
-        assert profiler.total_events == executed == 50
-        (key,) = profiler.stats
-        assert "lambda" in key
-        assert profiler.total_seconds > 0
-
-    def test_disable_returns_to_fast_loop(self):
-        sim = Simulator()
-        profiler = sim.enable_profiler()
+        obs.watch(sim)
         self.run_some_events(sim)
-        detached = sim.disable_profiler()
-        assert detached is profiler and sim.profiler is None
-        before = detached.total_events
-        self.run_some_events(sim)  # fast loop: profiler sees nothing
-        assert detached.total_events == before
+        echoed = []
+        obs.finish(echo=echoed.append)
+        (report,) = echoed
+        (row,) = [line for line in report.splitlines() if "<lambda>" in line]
+        assert row.split()[0] == "50"  # one call per event
+        assert table(report)["sim"] > 0
 
-    def test_events_executed_maintained_by_both_loops(self):
-        fast, slow = Simulator(), Simulator()
-        slow.count_events = True
-        a = self.run_some_events(fast)
-        b = self.run_some_events(slow)
-        assert fast.events_executed == a
-        assert slow.events_executed == b
-        assert a == b
+    def test_finish_disables_profiler(self):
+        obs = ObsSession(profile=True)
+        sim = Simulator()
+        obs.watch(sim)
+        obs.finish(echo=lambda line: None)
+        self.run_some_events(sim)  # after finish: the profiler is off
+        assert "<lambda>" not in render_profile(obs.profiler)
 
-    def test_instrumented_loop_matches_fast_loop_ordering(self):
-        def trace_of(instrumented):
-            sim = Simulator()
-            if instrumented:
-                sim.enable_profiler()
-            seen = []
-            # Two same-time events must keep FIFO order in both loops.
-            sim.schedule(1.0, lambda: seen.append("a"))
-            sim.schedule(1.0, lambda: seen.append("b"))
-            sim.schedule(0.5, lambda: seen.append("c"))
-            sim.run(until=2.0)
-            return seen, sim.now
+    def test_register_and_call_profile_the_stack(self):
+        # The paper's procedures run through run_until_true; the old
+        # per-event profiler hooked only run() and saw none of it.
+        obs = ObsSession(profile=True)
+        nw = build_vgprs_network()
+        obs.watch(nw.sim, run="call")
+        ms = nw.add_ms("MS1", "466920000000001", "+886935000001")
+        term = nw.add_terminal("TERM1", "+886222000001", answer_delay=0.6)
+        scenarios.register_ms(nw, ms)
+        scenarios.call_ms_to_terminal(nw, ms, term)
+        echoed = []
+        obs.finish(echo=echoed.append)
+        (report,) = echoed
+        shares = table(report)
+        assert shares["sim"] > 0 and shares["net"] > 0
+        qualname = getattr(Link._deliver.__code__, "co_qualname", "_deliver")
+        assert f"({qualname})" in report
 
-        assert trace_of(True) == trace_of(False) == (["c", "a", "b"], 2.0)
+    def test_events_executed_exact_under_every_driver(self):
+        sim = Simulator()
+        seen = []
+        fired = []
+        for i in range(5):
+            sim.schedule(0.1 * (i + 1), fired.append, i)
+        assert sim.run_until_true(lambda: len(fired) == 5)
+        assert sim.events_executed == 5
+        sim.schedule(1.0, lambda: None)
+        assert sim.step() and sim.events_executed == 6
+        for _ in range(3):
+            sim.schedule(1.0, lambda: seen.append(sim.events_executed))
+        assert sim.run() == 3
+        # Read mid-callback, the count includes the running event.
+        assert seen == [7, 8, 9] and sim.events_executed == 9
+        sim.cancel(sim.schedule(1.0, lambda: None))
+        sim.run()
+        assert sim.events_executed == 9  # cancelled events never count
 
 
 class TestHeartbeat:
@@ -111,7 +155,26 @@ class TestHeartbeat:
         assert hb.beats == 3 and len(lines) == 3
         assert lines[0].startswith("[hb soak] t=1.0s")
         assert "events=" in lines[0] and "live=" in lines[0]
-        assert sim.count_events is False  # stop() restores the fast loop
+        # t=3.6..4.0 remain; stop() cancelled the t=4.0 beat.
+        assert sim.pending_events == 5
+
+    def test_events_field_equals_events_executed(self):
+        sim = Simulator()
+        lines = []
+        expected = []
+
+        def sink(line):
+            lines.append(line)
+            expected.append(sim.events_executed)
+
+        Heartbeat(sim, period=1.0, sink=sink).start()
+        for i in range(40):
+            sim.schedule(0.1 * (i + 1), lambda: None)
+        sim.run_until_true(lambda: len(lines) == 2)
+        sim.run(until=3.5)
+        assert len(lines) == 3
+        for line, count in zip(lines, expected):
+            assert f" events={count} " in line and count > 0
 
     def test_extra_hook(self):
         sim = Simulator()
@@ -142,7 +205,7 @@ class TestObsSession:
         assert not obs.active
         sim = Simulator()
         obs.watch(sim)
-        assert sim.profiler is None
+        assert obs.profiler is None and sim.pending_events == 0
         obs.finish(echo=lambda line: pytest.fail(f"unexpected output {line!r}"))
 
     def test_finish_writes_all_artifacts(self, tmp_path):
@@ -168,12 +231,12 @@ class TestObsSession:
     def test_profile_report_echoed(self, tmp_path):
         obs = ObsSession(profile=True)
         sim = Simulator()
-        obs.watch(sim)  # arms the profiler before the run
+        obs.watch(sim)  # starts the profiler before the run
         sim.schedule(1.0, lambda: None)
         sim.run(until=2.0)
         echoed = []
         obs.finish(echo=echoed.append)
-        assert any("kernel profile [main]" in line for line in echoed)
+        assert any(line.startswith("=== profile:") for line in echoed)
 
     def test_metrics_merge_with_extra_snapshots(self, tmp_path):
         metrics_path = tmp_path / "m.prom"
@@ -196,6 +259,6 @@ class TestObsSession:
         obs = ObsSession(heartbeat=1.0)
         sim = Simulator()
         obs.watch(sim)
-        assert sim.count_events is True
+        assert sim.pending_events == 1  # the first beat
         obs.finish(echo=lambda line: None)
-        assert sim.count_events is False
+        assert sim.pending_events == 0

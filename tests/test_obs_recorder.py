@@ -25,6 +25,7 @@ from repro.obs.recorder import (
     plain_value,
 )
 from repro.obs.series import SeriesSampler
+from repro.obs.slo import SloWatchdog, parse_slo_rules
 from repro.sim.kernel import Simulator
 from repro.sim.sweep import run_sweep, sweep_grid
 
@@ -138,6 +139,43 @@ class TestRings:
 # ----------------------------------------------------------------------
 # Bundle capture on the seeded GK outage
 # ----------------------------------------------------------------------
+class TestSubscribers:
+    def test_watchdog_attached_after_recorder_keeps_both(self):
+        # SloWatchdog.attach used to overwrite the sampler's single
+        # bucket hook, silently unhooking a recorder attached first.
+        sim = Simulator()
+        sampler = SeriesSampler(sim, interval=1.0).start()
+        recorder = FlightRecorder(sim).arm().attach_sampler(sampler)
+        dog = SloWatchdog(parse_slo_rules("ticks: total(x) <= 100"))
+        dog.attach(sampler)
+        for i in range(5):
+            sim.schedule(i + 0.5, sim.metrics.counter("x").inc)
+        sim.run(until=5.0)
+        assert [b["t"] for b in recorder.buckets] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        (result,) = dog.finalize()
+        assert result.value == 5 and dog.now == 5.0
+
+    def test_bucket_subscribers_run_in_attach_order(self):
+        sim = Simulator()
+        sampler = SeriesSampler(sim, interval=1.0).start()
+        order = []
+        sampler.on_bucket.append(lambda bucket: order.append("first"))
+        recorder = FlightRecorder(sim).attach_sampler(sampler)
+        sampler.on_bucket.append(
+            lambda bucket: order.append(len(recorder.buckets))
+        )
+        sim.run(until=2.0)
+        assert order == ["first", 1, "first", 2]
+
+    def test_recorder_sink_runs_after_the_span_tracker(self):
+        sim = Simulator()
+        recorder = FlightRecorder(sim).arm()
+        assert sim.trace.sinks == [sim.spans.on_entry, recorder._on_entry]
+        assert recorder.arm() is recorder  # idempotent
+        assert len(sim.trace.sinks) == 2
+        assert sim.spans.on_close == [recorder._on_span_close]
+
+
 class TestBundleCapture:
     def test_fault_trigger_opens_and_finalizes_a_bundle(self):
         _nw, recorder = _outage_run()

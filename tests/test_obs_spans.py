@@ -11,7 +11,7 @@ class TestSpanTracker:
         clock = {"t": 0.0}
         tracker = SpanTracker(clock=lambda: clock["t"])
         trace = TraceRecorder(clock=lambda: clock["t"])
-        trace.sink = tracker.on_entry
+        trace.sinks.append(tracker.on_entry)
         return tracker, trace, clock
 
     def test_open_close_lifecycle(self):

@@ -221,7 +221,8 @@ class TestSimulator:
 class TestCancellationAccounting:
     """Regression tests: event cancellation must keep the live count
     honest through every path (direct Event.cancel, Simulator.cancel,
-    the legacy note_cancelled shim)."""
+    the legacy note_cancelled shim, cancelling an event that already
+    fired, clearing the queue)."""
 
     def test_direct_event_cancel_decrements_live_count(self):
         sim = Simulator()
@@ -263,3 +264,35 @@ class TestCancellationAccounting:
         sim.run()
         assert fired == [2, 4, 6, 8, 10]
         assert sim.pending_events == 0
+
+    def test_cancel_after_fire_changes_no_count(self):
+        # The timer idiom: keep the handle, cancel it later even if it
+        # already fired.  That must not hide the events still queued.
+        sim = Simulator()
+        fired = []
+        first = sim.schedule(1.0, fired.append, 1)
+        sim.schedule(5.0, fired.append, 5)
+        sim.run(until=2.0)
+        sim.cancel(first)
+        assert sim.pending_events == 1
+        assert sim.next_event_time() == 5.0
+        assert sim.step() and fired == [1, 5]
+        assert sim.pending_events == 0 and not sim.step()
+
+    def test_cancel_inside_own_callback_changes_no_count(self):
+        sim = Simulator()
+        holder = []
+        holder.append(sim.schedule(1.0, lambda: holder[0].cancel()))
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        assert sim.pending_events == 1 and sim.events_executed == 1
+
+    def test_clear_discards_without_counting(self):
+        q = EventQueue()
+        kept = q.push(1.0, lambda: None)
+        q.push(2.0, lambda: None).cancel()
+        q.pop()
+        q.push(3.0, lambda: None)
+        q.clear()
+        kept.cancel()  # fired before the clear: no effect
+        assert len(q) == 0 and not q and q.executed == 1
