@@ -230,12 +230,9 @@ def demo_sweep(
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown experiment {experiment!r}")
     # Sweep workers build their own simulators in their own processes;
-    # whatever snapshots/series they embedded in the result values are
-    # the metrics we can export.
+    # the run records they return are all the session can export.
     for result in results:
-        obs.extra_snapshots.extend(result.snapshots())
-        obs.extra_series.extend(result.series())
-        obs.extra_incidents.extend(result.incidents())
+        obs.shipped.extend(result.value["runs"])
 
 
 SCENARIOS = {

@@ -6,6 +6,17 @@ fan out with :func:`repro.sim.sweep.run_sweep`.  They live in the
 package (rather than in the benchmark modules) so that worker processes
 can unpickle them by reference and so ``python -m repro sweep`` can run
 the same sweeps from the command line.
+
+Every network is armed through :meth:`repro.obs.session.ObsSession.watch`,
+the path ``python -m repro`` arms its own simulators with.  A
+measurement function given a ``runs`` list appends its network's
+:meth:`~repro.obs.session.WatchedRun.ship` record (``{"metrics",
+"series", "incidents"}``) to it, and each point function returns its
+records under one ``"runs"`` key: worker processes build their own
+simulators, so these records are the only way their metrics, series
+and incident bundles reach ``--metrics-out``/``--series-out``/
+``--incident-dir``.  Records are listed in a fixed order; the merges'
+float sums depend on it.
 """
 
 from __future__ import annotations
@@ -18,8 +29,7 @@ from repro.core.network import LatencyProfile, build_vgprs_network
 from repro.errors import SimulationError
 from repro.faults import apply_faults
 from repro.media import install_fluid
-from repro.obs.recorder import FlightRecorder
-from repro.obs.series import SeriesSampler
+from repro.obs.session import ObsSession, WatchedRun
 
 IMSI1 = "466920000000001"
 MSISDN1 = "+886935000001"
@@ -31,29 +41,26 @@ TERM1 = "+886222000001"
 SERIES_INTERVAL = 1.0
 
 
-def _sample(nw) -> SeriesSampler:
-    """Arm a time-series sampler on a worker's fresh network.  Sampling
-    only reads the registry, so the seeded trace is unaffected."""
-    return SeriesSampler(nw.sim, interval=SERIES_INTERVAL).start()
+#: Shipped run records (:meth:`repro.obs.session.WatchedRun.ship`).
+Runs = List[Dict[str, Any]]
 
 
-def _finish_series(sampler: SeriesSampler) -> Dict[str, Any]:
-    sampler.stop(flush=True)
-    return sampler.to_dict()
+def _arm(nw, faults: Optional[str]) -> WatchedRun:
+    """Watch a worker's fresh network (flight recorder plus series
+    sampler, run label ``"sweep"``), then arm the fault plan, so the
+    recorder sees FAULT_PLAN_ARMED and captures incident bundles around
+    the fault window.  Sampling and recording only read the simulator,
+    so the seeded trace is unaffected."""
+    watched = ObsSession(
+        force_series=True, series_interval=SERIES_INTERVAL
+    ).watch(nw.sim, run="sweep")
+    apply_faults(nw, faults, strict=False)
+    return watched
 
 
-def _record(nw, sampler: SeriesSampler, run: str = "sweep") -> FlightRecorder:
-    """Arm a flight recorder on a worker's network.  Armed *before*
-    ``apply_faults`` so the recorder sees FAULT_PLAN_ARMED and captures
-    incident bundles around the fault window."""
-    recorder = FlightRecorder(nw.sim, run=run).arm()
-    recorder.attach_sampler(sampler)
-    return recorder
-
-
-def _finish_recorder(recorder: FlightRecorder) -> List[Dict[str, Any]]:
-    recorder.flush()
-    return list(recorder.bundles)
+def _ship(watched: WatchedRun, runs: Optional[Runs]) -> None:
+    if runs is not None:
+        runs.append(watched.ship())
 
 
 # ----------------------------------------------------------------------
@@ -72,38 +79,15 @@ def _setup_path_delay(nw, place_call) -> float:
     return setups[-1].time - setups[0].time
 
 
-def _collect(
-    snapshots: Optional[List[Dict[str, Any]]],
-    nw,
-    sampler: Optional[SeriesSampler] = None,
-    recorder: Optional[FlightRecorder] = None,
-) -> None:
-    """Append the network's metrics snapshot — and its sampler's time
-    series and its recorder's incident bundles — when a collector is
-    given (sweep workers run in their own processes; only artefacts
-    embedded in the result value can reach ``--metrics-out``/
-    ``--series-out``/``--incident-dir``).  Snapshot, series and bundle
-    dicts share the list; ``find_snapshots``/``find_series``/
-    ``find_incidents`` tell them apart by shape."""
-    if snapshots is not None:
-        snapshots.append(nw.sim.metrics.snapshot())
-        if sampler is not None:
-            snapshots.append(_finish_series(sampler))
-        if recorder is not None:
-            snapshots.extend(_finish_recorder(recorder))
-
-
 def vgprs_mt(
     factor: float,
-    snapshots: Optional[List[Dict[str, Any]]] = None,
     faults: Optional[str] = None,
+    runs: Optional[Runs] = None,
 ) -> float:
     """MT setup-path delay (caller's Q.931 Setup -> called endpoint) in
     vGPRS, where the PDP context is already activated."""
     nw = build_vgprs_network(latencies=LatencyProfile().scaled_core(factor))
-    sampler = _sample(nw)
-    recorder = _record(nw, sampler)
-    apply_faults(nw, faults, strict=False)
+    watched = _arm(nw, faults)
     ms = nw.add_ms("MS1", IMSI1, MSISDN1, answer_delay=5.0)
     term = nw.add_terminal("TERM1", TERM1)
     nw.sim.run(until=0.5)
@@ -111,21 +95,19 @@ def vgprs_mt(
     nw.sim.run(until=nw.sim.now + 6.0)  # idle; vGPRS keeps the context
     nw.sim.trace.clear()
     delay = _setup_path_delay(nw, lambda: term.place_call(ms.msisdn))
-    _collect(snapshots, nw, sampler, recorder)
+    _ship(watched, runs)
     return delay
 
 
 def tgtr_mt(
     factor: float,
-    snapshots: Optional[List[Dict[str, Any]]] = None,
     faults: Optional[str] = None,
+    runs: Optional[Runs] = None,
 ) -> float:
     """MT setup-path delay in the 3G TR 23.923 baseline, which must
     re-activate the PDP context per call arrival."""
     nw = build_3gtr_network(latencies=LatencyProfile().scaled_core(factor))
-    sampler = _sample(nw)
-    recorder = _record(nw, sampler)
-    apply_faults(nw, faults, strict=False)
+    watched = _arm(nw, faults)
     ms = nw.add_ms("MS1", IMSI1, MSISDN1, answer_delay=5.0)
     term = nw.add_terminal("TERM1", TERM1)
     nw.sim.run(until=0.5)
@@ -134,21 +116,19 @@ def tgtr_mt(
     nw.sim.run(until=nw.sim.now + 6.0)  # idle; 3G TR tore the context down
     nw.sim.trace.clear()
     delay = _setup_path_delay(nw, lambda: term.place_call(ms.msisdn))
-    _collect(snapshots, nw, sampler, recorder)
+    _ship(watched, runs)
     return delay
 
 
 def vgprs_mo_admission(
     factor: float,
-    snapshots: Optional[List[Dict[str, Any]]] = None,
     faults: Optional[str] = None,
+    runs: Optional[Runs] = None,
 ) -> float:
     """MO side: time from A_Setup at the VMSC to the ACF returning —
     immediate in vGPRS because the signalling context exists."""
     nw = build_vgprs_network(latencies=LatencyProfile().scaled_core(factor))
-    sampler = _sample(nw)
-    recorder = _record(nw, sampler)
-    apply_faults(nw, faults, strict=False)
+    watched = _arm(nw, faults)
     ms = nw.add_ms("MS1", IMSI1, MSISDN1)
     term = nw.add_terminal("TERM1", TERM1, answer_delay=0.3)
     nw.sim.run(until=0.5)
@@ -159,20 +139,18 @@ def vgprs_mo_admission(
     trace = nw.sim.trace
     a_setup = trace.messages(name="A_Setup", since=since)[0]
     acf = trace.messages(name="RAS_ACF", dst="VMSC", since=since)[0]
-    _collect(snapshots, nw, sampler, recorder)
+    _ship(watched, runs)
     return acf.time - a_setup.time
 
 
 def tgtr_mo_admission(
     factor: float,
-    snapshots: Optional[List[Dict[str, Any]]] = None,
     faults: Optional[str] = None,
+    runs: Optional[Runs] = None,
 ) -> float:
     """MO side in 3G TR: PDP activation precedes the ARQ."""
     nw = build_3gtr_network(latencies=LatencyProfile().scaled_core(factor))
-    sampler = _sample(nw)
-    recorder = _record(nw, sampler)
-    apply_faults(nw, faults, strict=False)
+    watched = _arm(nw, faults)
     ms = nw.add_ms("MS1", IMSI1, MSISDN1)
     term = nw.add_terminal("TERM1", TERM1, answer_delay=0.3)
     nw.sim.run(until=0.5)
@@ -184,7 +162,7 @@ def tgtr_mo_admission(
     trace = nw.sim.trace
     assert nw.sim.run_until_true(lambda: ms.state == "in-call", timeout=60)
     acf = trace.messages(name="RAS_ACF", since=since)[0]
-    _collect(snapshots, nw, sampler, recorder)
+    _ship(watched, runs)
     return acf.time - since
 
 
@@ -194,14 +172,14 @@ def setup_latency_point(
     """One E8 sweep point: all four setup-latency measurements at the
     given core-latency *factor*.  ``faults`` is a fault-plan text armed
     (non-strictly) on every per-measurement topology."""
-    snapshots: List[Dict[str, Any]] = []
+    runs: Runs = []
     return {
         "factor": factor,
-        "vgprs_mt": vgprs_mt(factor, snapshots, faults),
-        "tgtr_mt": tgtr_mt(factor, snapshots, faults),
-        "vgprs_mo": vgprs_mo_admission(factor, snapshots, faults),
-        "tgtr_mo": tgtr_mo_admission(factor, snapshots, faults),
-        "metrics": snapshots,
+        "vgprs_mt": vgprs_mt(factor, faults, runs),
+        "tgtr_mt": tgtr_mt(factor, faults, runs),
+        "vgprs_mo": vgprs_mo_admission(factor, faults, runs),
+        "tgtr_mo": tgtr_mo_admission(factor, faults, runs),
+        "runs": runs,
     }
 
 
@@ -232,13 +210,12 @@ def vgprs_under_load(
     tch_capacity: int = 8,
     media: str = DEFAULT_MEDIA,
     faults: Optional[str] = None,
+    runs: Optional[Runs] = None,
 ) -> Dict[str, Any]:
     """Voice-quality metrics with *num_calls* concurrent circuit calls."""
     nw = build_vgprs_network(tch_capacity=tch_capacity)
     apply_media(nw.sim, media)
-    sampler = _sample(nw)
-    recorder = _record(nw, sampler)
-    apply_faults(nw, faults, strict=False)
+    watched = _arm(nw, faults)
     pairs = []
     for i in range(num_calls):
         ms = nw.add_ms(f"MS{i}", f"46692000000100{i}", f"+88693500010{i}")
@@ -265,17 +242,13 @@ def vgprs_under_load(
         if jit is not None and jit.count:
             jitters.append(jit.quantile(0.95))
     blocked = nw.sim.metrics.counters("BSC.tch_blocked").get("BSC.tch_blocked", 0)
+    _ship(watched, runs)
     return {
         "connected": connected,
         "blocked": blocked,
         "mean_m2e_ms": 1000 * sum(delays) / len(delays) if delays else 0.0,
         "p95_jitter_ms": 1000 * max(jitters) if jitters else 0.0,
         "within_budget": min(within) if within else 0.0,
-        # Full registry snapshot: workers run in their own processes, so
-        # this is the only way their metrics reach --metrics-out.
-        "metrics": nw.sim.metrics.snapshot(),
-        "series": _finish_series(sampler),
-        "incidents": _finish_recorder(recorder),
     }
 
 
@@ -284,14 +257,13 @@ def tgtr_under_load(
     channel_bps: float = 40_000.0,
     media: str = DEFAULT_MEDIA,
     faults: Optional[str] = None,
+    runs: Optional[Runs] = None,
 ) -> Dict[str, Any]:
     """Voice-quality metrics with *num_calls* calls sharing the 3G TR
     packet channel."""
     nw = build_3gtr_network(packet_channel_bps=channel_bps)
     apply_media(nw.sim, media)
-    sampler = _sample(nw)
-    recorder = _record(nw, sampler)
-    apply_faults(nw, faults, strict=False)
+    watched = _arm(nw, faults)
     pairs = []
     for i in range(num_calls):
         ms = nw.add_ms(f"MS{i}", f"46692000000100{i}", f"+88693500010{i}",
@@ -321,15 +293,13 @@ def tgtr_under_load(
             within.append(m2e.fraction_below(BUDGET_S))
         if jit is not None and jit.count:
             jitters.append(jit.quantile(0.95))
+    _ship(watched, runs)
     return {
         "connected": connected,
         "blocked": 0,
         "mean_m2e_ms": 1000 * sum(delays) / len(delays) if delays else 0.0,
         "p95_jitter_ms": 1000 * max(jitters) if jitters else 0.0,
         "within_budget": min(within) if within else 0.0,
-        "metrics": nw.sim.metrics.snapshot(),
-        "series": _finish_series(sampler),
-        "incidents": _finish_recorder(recorder),
     }
 
 
@@ -337,10 +307,17 @@ def voice_quality_point(
     num_calls: int, media: str = DEFAULT_MEDIA, faults: Optional[str] = None
 ) -> Dict[str, Any]:
     """One E9 sweep point: both architectures at *num_calls* calls."""
+    v_runs: Runs = []
+    t_runs: Runs = []
     return {
         "calls": num_calls,
-        "vgprs": vgprs_under_load(num_calls, media=media, faults=faults),
-        "tgtr": tgtr_under_load(num_calls, media=media, faults=faults),
+        "vgprs": vgprs_under_load(num_calls, media=media, faults=faults,
+                                  runs=v_runs),
+        "tgtr": tgtr_under_load(num_calls, media=media, faults=faults,
+                                runs=t_runs),
+        # 3G TR first: the order these artefacts have always merged in,
+        # and the merged float sums (metrics and series) depend on it.
+        "runs": t_runs + v_runs,
     }
 
 
@@ -354,14 +331,14 @@ def residency_point(
     """Context-seconds at the SGSN over *horizon* simulated seconds with
     one subscriber making Poisson-ish periodic calls.  Returns a dict
     with ``vgprs_residency``/``vgprs_activations``/``tgtr_residency``/
-    ``tgtr_activations`` plus the two workers' metrics snapshots."""
+    ``tgtr_activations`` plus both networks' records under ``"runs"``
+    (vGPRS first)."""
     period = 3600.0 / calls_per_hour if calls_per_hour else None
+    runs: Runs = []
 
     def run(builder, is_vgprs):
         nw = builder()
-        sampler = _sample(nw)
-        recorder = _record(nw, sampler)
-        apply_faults(nw, faults, strict=False)
+        watched = _arm(nw, faults)
         if is_vgprs:
             ms = nw.add_ms("MS1", IMSI1, MSISDN1)
             term = nw.add_terminal("TERM1", TERM1, answer_delay=0.2)
@@ -403,17 +380,15 @@ def residency_point(
             "SGSN.pdp_activations", 0
         ) - activations0
         residency = nw.sgsn.context_residency() - base_residency
-        return (residency, activations, nw.sim.metrics.snapshot(),
-                _finish_series(sampler), _finish_recorder(recorder))
+        _ship(watched, runs)
+        return residency, activations
 
-    v_res, v_act, v_snap, v_series, v_inc = run(build_vgprs_network, True)
-    t_res, t_act, t_snap, t_series, t_inc = run(build_3gtr_network, False)
+    v_res, v_act = run(build_vgprs_network, True)
+    t_res, t_act = run(build_3gtr_network, False)
     return {
         "vgprs_residency": v_res,
         "vgprs_activations": v_act,
         "tgtr_residency": t_res,
         "tgtr_activations": t_act,
-        "metrics": [v_snap, t_snap],
-        "series": [v_series, t_series],
-        "incidents": v_inc + t_inc,
+        "runs": runs,
     }

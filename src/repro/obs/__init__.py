@@ -18,11 +18,13 @@ Layers on the :mod:`repro.sim` primitives (``TraceRecorder``,
   spans and link hops;
 * :mod:`repro.obs.slo` — declarative SLO rules evaluated over series
   windows, with deterministic violation collection;
-* :mod:`repro.obs.recorder` — always-on bounded flight recorder and
-  incident bundle capture;
+* :mod:`repro.obs.recorder` — always-on bounded flight recorder,
+  incident bundle capture and merging;
 * :mod:`repro.obs.analyze` — ``python -m repro analyze``: post-mortem
   blast-radius reports over incident bundles;
-* :mod:`repro.obs.session` — the ``python -m repro`` flag plumbing.
+* :mod:`repro.obs.session` — the ``python -m repro`` flag plumbing: one
+  :class:`WatchedRun` record per simulator, shipped as plain data by
+  sweep workers.
 
 Nothing here imports :mod:`repro.sim.kernel` (the kernel imports the
 span tracker), so the dependency arrow stays one-way.
@@ -30,9 +32,6 @@ span tracker), so the dependency arrow stays one-way.
 
 from repro.obs.export import (
     export_trace_jsonl,
-    find_snapshots,
-    is_incident,
-    is_snapshot,
     merge_snapshots,
     render_span_tree,
 )
@@ -42,17 +41,12 @@ from repro.obs.profiler import render_profile
 from repro.obs.prom import render_prometheus, sanitize_name
 from repro.obs.recorder import (
     FlightRecorder,
-    find_incidents,
+    is_incident,
     merge_incidents,
     plain_value,
 )
-from repro.obs.series import (
-    SeriesSampler,
-    find_series,
-    is_series,
-    merge_series,
-)
-from repro.obs.session import ObsSession
+from repro.obs.series import SeriesSampler, merge_series
+from repro.obs.session import ObsSession, WatchedRun
 from repro.obs.slo import (
     SloError,
     SloRule,
@@ -62,7 +56,7 @@ from repro.obs.slo import (
     render_slo_report,
 )
 from repro.obs.spans import CORRELATION_FIELDS, Span, SpanTracker
-from repro.obs.timeline import export_runs_timeline, export_timeline
+from repro.obs.timeline import export_runs_timeline
 
 __all__ = [
     "CORRELATION_FIELDS",
@@ -77,16 +71,11 @@ __all__ = [
     "SloWatchdog",
     "Span",
     "SpanTracker",
+    "WatchedRun",
     "evaluate_series",
     "export_runs_timeline",
-    "export_timeline",
     "export_trace_jsonl",
-    "find_incidents",
-    "find_series",
-    "find_snapshots",
     "is_incident",
-    "is_series",
-    "is_snapshot",
     "merge_incidents",
     "merge_series",
     "merge_snapshots",

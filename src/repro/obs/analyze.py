@@ -31,8 +31,8 @@ import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.export import is_incident
 from repro.obs.hops import render_bar
+from repro.obs.recorder import is_incident
 from repro.obs.spans import CORRELATION_FIELDS
 
 __all__ = [

@@ -12,8 +12,9 @@ The JSONL trace format is one JSON object per line:
 Metric snapshots (:meth:`repro.sim.metrics.MetricsRegistry.snapshot`)
 are plain dicts so sweep workers can ship them across process
 boundaries; :func:`merge_snapshots` folds any number of them into one
-deterministic aggregate (input order never matters for the result:
-counters sum, gauge integrals sum, histogram moments pool).
+aggregate, deterministic for a fixed input order (counters sum, gauge
+integrals sum, histogram moments pool; float sums can differ in the
+last bit when the order changes).
 """
 
 from __future__ import annotations
@@ -21,17 +22,6 @@ from __future__ import annotations
 import json
 import math
 from typing import Any, Dict, IO, Iterable, List, Optional, Tuple, Union
-
-#: Keys whose presence marks a dict as a metrics snapshot when scanning
-#: sweep results (:func:`find_snapshots`).
-_SNAPSHOT_KEYS = frozenset({"sim_time", "counters", "gauges", "histograms"})
-
-#: Keys whose presence marks a dict as an incident bundle
-#: (:class:`repro.obs.recorder.FlightRecorder`).  Defined here (not in
-#: the recorder module) so the snapshot and series walks can skip
-#: bundles without an import cycle — a bundle embeds its own metrics
-#: snapshot, which must not double-count into ``--metrics-out``.
-_INCIDENT_KEYS = frozenset({"incident", "triggers", "window", "entries"})
 
 
 # ----------------------------------------------------------------------
@@ -133,37 +123,6 @@ def render_span_tree(sim: Any, max_entries_per_span: int = 40) -> str:
 # ----------------------------------------------------------------------
 # Metric snapshots
 # ----------------------------------------------------------------------
-def is_snapshot(value: Any) -> bool:
-    """True when *value* looks like a ``MetricsRegistry.snapshot()``."""
-    return isinstance(value, dict) and _SNAPSHOT_KEYS.issubset(value.keys())
-
-
-def is_incident(value: Any) -> bool:
-    """True when *value* looks like a flight-recorder incident bundle
-    (:meth:`repro.obs.recorder.FlightRecorder` output)."""
-    return isinstance(value, dict) and _INCIDENT_KEYS.issubset(value.keys())
-
-
-def find_snapshots(value: Any) -> List[Dict[str, Any]]:
-    """Recursively collect metric snapshots from an arbitrary sweep
-    result value, walking dicts in sorted-key order and sequences in
-    index order so the collection is deterministic.  Incident bundles
-    are opaque leaves: the snapshot a bundle embeds describes that
-    incident, not the run's exportable totals."""
-    found: List[Dict[str, Any]] = []
-    if is_incident(value):
-        pass
-    elif is_snapshot(value):
-        found.append(value)
-    elif isinstance(value, dict):
-        for key in sorted(value, key=str):
-            found.extend(find_snapshots(value[key]))
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            found.extend(find_snapshots(item))
-    return found
-
-
 def _merge_gauges(
     summaries: List[Tuple[Dict[str, float], float]]
 ) -> Dict[str, float]:
@@ -207,7 +166,8 @@ def _merge_histograms(summaries: List[Dict[str, float]]) -> Dict[str, float]:
 
 
 def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold snapshots into one aggregate, deterministically.
+    """Fold snapshots into one aggregate, deterministic for a fixed
+    input order.
 
     Counters and gauge integrals sum; gauge peaks take the max; merged
     gauge time-averages re-divide total integral by total simulated

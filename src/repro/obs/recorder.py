@@ -27,11 +27,12 @@ serve over HTTP, and serialize byte-identically for the same seed and
 plan.  ``python -m repro analyze`` (:mod:`repro.obs.analyze`) joins a
 bundle's faults, alerts and spans into a blast-radius report.
 
-Like snapshots (:func:`repro.obs.export.find_snapshots`) and series
-(:func:`repro.obs.series.find_series`), bundles embedded in sweep
-results are discovered by shape (:func:`find_incidents`) and merged in
-input order (:func:`merge_incidents`), so a parallel sweep's bundle
-list is byte-identical to a serial one.
+Sweep workers ship their bundles back explicitly, next to their
+metrics snapshot and series (:meth:`repro.obs.session.WatchedRun.ship`);
+:func:`merge_incidents` renumbers them in input order, so a parallel
+sweep's bundle list is byte-identical to a serial one.
+:func:`is_incident` checks the bundle shape of files read back from
+disk (``python -m repro analyze``).
 """
 
 from __future__ import annotations
@@ -40,15 +41,17 @@ import copy
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.obs.export import is_incident
 from repro.sim.trace import TraceEntry
 
 __all__ = [
     "FlightRecorder",
-    "find_incidents",
+    "is_incident",
     "merge_incidents",
     "plain_value",
 ]
+
+#: Keys every incident bundle carries (:meth:`FlightRecorder._finalize`).
+_INCIDENT_KEYS = frozenset({"incident", "triggers", "window", "entries"})
 
 #: FAULTS notes that *open* (or extend) an incident capture, mapped to
 #: the info field naming the faulted element.
@@ -352,25 +355,11 @@ class FlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# Discovery and merging (sweep workers ship bundles in result values)
+# Validation and merging
 # ----------------------------------------------------------------------
-def find_incidents(value: Any) -> List[Dict[str, Any]]:
-    """Recursively collect incident bundles from an arbitrary sweep
-    result value; the walk order matches
-    :func:`repro.obs.export.find_snapshots` (sorted dict keys, sequence
-    index order), so collection is deterministic.  Bundles are leaves:
-    the walk never descends into one (its embedded metrics snapshot
-    belongs to the bundle, not to ``--metrics-out``)."""
-    found: List[Dict[str, Any]] = []
-    if is_incident(value):
-        found.append(value)
-    elif isinstance(value, dict):
-        for key in sorted(value, key=str):
-            found.extend(find_incidents(value[key]))
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            found.extend(find_incidents(item))
-    return found
+def is_incident(value: Any) -> bool:
+    """True when *value* has the shape of an incident bundle."""
+    return isinstance(value, dict) and _INCIDENT_KEYS.issubset(value.keys())
 
 
 def merge_incidents(

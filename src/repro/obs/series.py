@@ -22,12 +22,14 @@ Sampling only ever *reads* the registry and records no trace entries,
 so an armed sampler cannot perturb a seeded trace: traces stay
 byte-identical, exactly like the PR-2 span tracker.
 
-Cross-worker merging (:func:`merge_series`) uses the same semantics the
-snapshot merger has: counter deltas sum, gauge values/integrals sum,
-histogram buckets pool through the identical
-:func:`repro.obs.export._merge_histograms` estimator.  Merging is by
-bucket index after coarsening every source to the coarsest interval,
-and a single-source merge is the identity.
+Sweep workers ship :meth:`SeriesSampler.to_dict` output back as plain
+data (:meth:`repro.obs.session.WatchedRun.ship`).  Cross-worker merging
+(:func:`merge_series`) uses the same semantics the snapshot merger has:
+counter deltas sum, gauge values/integrals sum, histogram buckets pool
+through the identical :func:`repro.obs.export._merge_histograms`
+estimator.  Merging is by bucket index after coarsening every source to
+the coarsest interval, is deterministic for a fixed input order, and a
+single-source merge is the identity.
 """
 
 from __future__ import annotations
@@ -35,11 +37,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.export import _merge_histograms, is_incident
-
-#: Keys whose presence marks a dict as a serialised series when
-#: scanning sweep results (:func:`find_series`).
-_SERIES_KEYS = frozenset({"interval", "start", "sim_time", "buckets"})
+from repro.obs.export import _merge_histograms
 
 
 class SeriesSampler:
@@ -218,31 +216,6 @@ def _coarsen_buckets(buckets: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return out
 
 
-def is_series(value: Any) -> bool:
-    """True when *value* looks like a :meth:`SeriesSampler.to_dict`."""
-    return isinstance(value, dict) and _SERIES_KEYS.issubset(value.keys())
-
-
-def find_series(value: Any) -> List[Dict[str, Any]]:
-    """Recursively collect serialised series from an arbitrary sweep
-    result value; the walk order matches
-    :func:`repro.obs.export.find_snapshots` (sorted dict keys, sequence
-    index order), so collection is deterministic.  Incident bundles are
-    opaque leaves, mirroring the snapshot walk."""
-    found: List[Dict[str, Any]] = []
-    if is_incident(value):
-        pass
-    elif is_series(value):
-        found.append(value)
-    elif isinstance(value, dict):
-        for key in sorted(value, key=str):
-            found.extend(find_series(value[key]))
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            found.extend(find_series(item))
-    return found
-
-
 def _coarsened_to(series: Dict[str, Any], interval: float) -> Dict[str, Any]:
     if series["interval"] == interval:
         return series
@@ -273,8 +246,9 @@ def merge_series(series_list: Any) -> Dict[str, Any]:
     same-configured samplers guarantee); buckets then merge by index
     with snapshot semantics — counter deltas sum, gauge edge values and
     windowed integrals sum, histogram windows pool through the exact
-    snapshot-merge estimator.  Input order never matters for the
-    result, and merging a single series is the identity.
+    snapshot-merge estimator.  The result is deterministic for a fixed
+    input order (float sums can differ in the last bit when the order
+    changes), and merging a single series is the identity.
     """
     series_list = list(series_list)
     if not series_list:

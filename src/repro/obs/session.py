@@ -6,6 +6,13 @@
 ``--waterfall``/``--slo`` choices, attaches them to each simulator as it
 is built, and writes every artefact at the end.  Kept in the library
 (not ``__main__``) so tests and notebooks can drive the same plumbing.
+
+:meth:`ObsSession.watch` returns one :class:`WatchedRun` per simulator:
+the run name, the simulator and the instrumentation armed on it.  Sweep
+workers build their simulators in other processes; each arms its
+network through the same ``watch()`` and sends back
+:meth:`WatchedRun.ship`'s plain-data record, which the parent session
+merges from :attr:`ObsSession.shipped`.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from __future__ import annotations
 import cProfile
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.export import export_trace_jsonl, merge_snapshots
 from repro.obs.heartbeat import Heartbeat
@@ -33,6 +41,36 @@ from repro.obs.timeline import export_runs_timeline
 
 #: At most this many root-span waterfalls are printed per run.
 MAX_WATERFALLS = 12
+
+
+@dataclass(eq=False)
+class WatchedRun:
+    """One simulator an :class:`ObsSession` watches, with what
+    :meth:`ObsSession.watch` armed on it."""
+
+    name: str
+    sim: Any
+    #: Always armed: capture is free until something triggers.
+    recorder: FlightRecorder
+    sampler: Optional[SeriesSampler] = None
+    watchdog: Optional[SloWatchdog] = None
+    heartbeat: Optional[Heartbeat] = None
+
+    def ship(self) -> Dict[str, Any]:
+        """Stop sampling, finalize any in-flight capture and return the
+        run's artefacts as plain data that pickles across process
+        boundaries: ``{"metrics": snapshot, "series": series dict,
+        "incidents": [bundle, ...]}``.  Needs a sampler (arm with
+        ``force_series``)."""
+        assert self.sampler is not None, "ship() needs a series sampler"
+        metrics = self.sim.metrics.snapshot()
+        self.sampler.stop(flush=True)
+        self.recorder.flush()
+        return {
+            "metrics": metrics,
+            "series": self.sampler.to_dict(),
+            "incidents": list(self.recorder.bundles),
+        }
 
 
 class ObsSession:
@@ -76,17 +114,11 @@ class ObsSession:
         #: The ``--profile`` profiler: enabled at the first watch(),
         #: disabled and reported by finish().
         self.profiler: Optional[cProfile.Profile] = None
-        self._sims: List[Tuple[str, Any]] = []
-        self._heartbeats: List[Heartbeat] = []
-        self._samplers: List[Tuple[str, SeriesSampler]] = []
-        self._watchdogs: List[Tuple[str, SloWatchdog]] = []
-        self._recorders: List[Tuple[str, FlightRecorder]] = []
-        #: Extra metric snapshots merged into --metrics-out (sweeps).
-        self.extra_snapshots: List[Dict[str, Any]] = []
-        #: Extra serialised series merged into --series-out (sweeps).
-        self.extra_series: List[Dict[str, Any]] = []
-        #: Extra incident bundles merged into --incident-dir (sweeps).
-        self.extra_incidents: List[Dict[str, Any]] = []
+        #: Watched runs, watch() order.
+        self.runs: List[WatchedRun] = []
+        #: :meth:`WatchedRun.ship` records from sweep workers, merged
+        #: after this session's own runs, in list order.
+        self.shipped: List[Dict[str, Any]] = []
 
     @property
     def active(self) -> bool:
@@ -104,52 +136,34 @@ class ObsSession:
     def _wants_hops(self) -> bool:
         return bool(self.timeline_out or self.waterfall)
 
-    def watch(self, sim: Any, run: str = "main") -> None:
-        """Register *sim* (idempotent per run name) and arm the
-        requested instrumentation on it."""
-        if any(existing is sim for _, existing in self._sims):
-            return
-        self._sims.append((run, sim))
+    def watch(self, sim: Any, run: str = "main") -> WatchedRun:
+        """Register *sim*, arm the requested instrumentation on it and
+        return its record.  Idempotent per simulator: watching a sim
+        again returns its existing record."""
+        for existing in self.runs:
+            if existing.sim is sim:
+                return existing
         # The flight recorder is always on: bounded rings, O(1) appends,
         # no events scheduled — capture costs nothing until triggered.
-        recorder = FlightRecorder(sim, run=run).arm()
-        self._recorders.append((run, recorder))
+        record = WatchedRun(run, sim, FlightRecorder(sim, run=run).arm())
+        self.runs.append(record)
         if self.profile and self.profiler is None:
             self.profiler = cProfile.Profile()
             self.profiler.enable()
         if self.heartbeat:
-            self._heartbeats.append(
-                Heartbeat(
-                    sim, period=self.heartbeat, label=run,
-                    extra=self.heartbeat_extra,
-                ).start()
-            )
+            record.heartbeat = Heartbeat(
+                sim, period=self.heartbeat, label=run,
+                extra=self.heartbeat_extra,
+            ).start()
         if self._wants_series:
             sampler = SeriesSampler(sim, interval=self.series_interval)
             if self.slo_rules:
-                dog = SloWatchdog(self.slo_rules).attach(sampler)
-                self._watchdogs.append((run, dog))
-            recorder.attach_sampler(sampler)
-            sampler.start()
-            self._samplers.append((run, sampler))
+                record.watchdog = SloWatchdog(self.slo_rules).attach(sampler)
+            record.recorder.attach_sampler(sampler)
+            record.sampler = sampler.start()
         if self._wants_hops and sim.hops is None:
             sim.hops = HopRecorder(sim)
-
-    def sampler_for(self, sim: Any) -> Optional[SeriesSampler]:
-        """The series sampler armed on *sim* by :meth:`watch`, if any —
-        serve mode chains its alert manager onto its bucket hook."""
-        for _, sampler in self._samplers:
-            if sampler.sim is sim:
-                return sampler
-        return None
-
-    def recorder_for(self, sim: Any) -> Optional[FlightRecorder]:
-        """The flight recorder :meth:`watch` armed on *sim* — serve mode
-        wires it to the alert manager and the run loop."""
-        for _, recorder in self._recorders:
-            if recorder.sim is sim:
-                return recorder
-        return None
+        return record
 
     def finish(self, echo: Callable[[str], None] = print) -> int:
         """Stop instrumentation, write every requested artefact, print
@@ -157,19 +171,20 @@ class ObsSession:
         when an SLO rule failed)."""
         if self.profiler is not None:
             self.profiler.disable()
-        for hb in self._heartbeats:
-            hb.stop()
-        self._heartbeats.clear()
-        for _, sampler in self._samplers:
+        samplers = [r.sampler for r in self.runs if r.sampler is not None]
+        for r in self.runs:
+            if r.heartbeat is not None:
+                r.heartbeat.stop()
+        for sampler in samplers:
             sampler.stop(flush=True)
         if self.trace_out:
             with open(self.trace_out, "w", encoding="utf-8") as fh:
-                for run, sim in self._sims:
-                    export_trace_jsonl(sim, fh, run=run)
+                for r in self.runs:
+                    export_trace_jsonl(r.sim, fh, run=r.name)
             echo(f"trace written to {self.trace_out}")
         if self.metrics_out:
-            snapshots = [sim.metrics.snapshot() for _, sim in self._sims]
-            snapshots.extend(self.extra_snapshots)
+            snapshots = [r.sim.metrics.snapshot() for r in self.runs]
+            snapshots.extend(s["metrics"] for s in self.shipped)
             if len(snapshots) == 1:
                 text = render_prometheus(snapshots[0])
             else:
@@ -178,8 +193,8 @@ class ObsSession:
                 fh.write(text)
             echo(f"metrics snapshot written to {self.metrics_out}")
         if self.series_out:
-            series = [sampler.to_dict() for _, sampler in self._samplers]
-            series.extend(self.extra_series)
+            series = [sampler.to_dict() for sampler in samplers]
+            series.extend(s["series"] for s in self.shipped)
             doc = series[0] if len(series) == 1 else merge_series(series)
             with open(self.series_out, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=1, sort_keys=True)
@@ -190,33 +205,37 @@ class ObsSession:
                 f"{doc.get('sources', len(series))} source(s))"
             )
         if self.timeline_out:
-            doc = export_runs_timeline(self._sims, path=self.timeline_out)
+            doc = export_runs_timeline(
+                [(r.name, r.sim) for r in self.runs], path=self.timeline_out
+            )
             echo(
                 f"timeline written to {self.timeline_out} "
                 f"({len(doc['traceEvents'])} events; open in "
                 "chrome://tracing or ui.perfetto.dev)"
             )
         if self.waterfall:
-            for run, sim in self._sims:
-                hops = sim.hops
+            for r in self.runs:
+                hops = r.sim.hops
                 if hops is None:
                     continue
-                roots = [s for s in sim.spans.roots() if not s.open]
+                roots = [s for s in r.sim.spans.roots() if not s.open]
                 for span in roots[:MAX_WATERFALLS]:
                     echo(render_waterfall(span, hops))
                 if len(roots) > MAX_WATERFALLS:
                     echo(f"... {len(roots) - MAX_WATERFALLS} more span(s) "
-                         f"in run {run!r} not shown")
-        for run, dog in self._watchdogs:
-            results = dog.finalize()
-            echo(render_slo_report(results, title=f"SLO [{run}]"))
-            if any(not r.ok for r in results):
+                         f"in run {r.name!r} not shown")
+        for r in self.runs:
+            if r.watchdog is None:
+                continue
+            results = r.watchdog.finalize()
+            echo(render_slo_report(results, title=f"SLO [{r.name}]"))
+            if any(not res.ok for res in results):
                 self.exit_code = 1
-        if self.slo_rules and self.extra_series:
+        if self.slo_rules and self.shipped:
             # Sweep workers ran in their own processes; replay their
             # merged series through a fresh watchdog.
             results = evaluate_series(
-                self.slo_rules, merge_series(self.extra_series)
+                self.slo_rules, merge_series([s["series"] for s in self.shipped])
             )
             echo(render_slo_report(results, title="SLO [sweep]"))
             if any(not r.ok for r in results):
@@ -224,14 +243,14 @@ class ObsSession:
         if self.exit_code:
             # A nonzero exit is itself an incident: capture the tail of
             # every watched run so the failure is explainable post hoc.
-            for _run, recorder in self._recorders:
-                recorder.capture_now(f"exit:{self.exit_code}")
-        for _run, recorder in self._recorders:
-            recorder.flush()
+            for r in self.runs:
+                r.recorder.capture_now(f"exit:{self.exit_code}")
+        for r in self.runs:
+            r.recorder.flush()
         if self.incident_dir:
             bundles = merge_incidents(
-                [b for _, rec in self._recorders for b in rec.bundles]
-                + list(self.extra_incidents)
+                [b for r in self.runs for b in r.recorder.bundles]
+                + [b for s in self.shipped for b in s["incidents"]]
             )
             os.makedirs(self.incident_dir, exist_ok=True)
             for bundle in bundles:

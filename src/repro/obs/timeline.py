@@ -118,30 +118,19 @@ def _write(doc: Dict[str, Any], path: str) -> None:
         fh.write("\n")
 
 
-def export_timeline(
-    sim: Any,
-    hops: Optional[HopRecorder] = None,
+def export_runs_timeline(
+    runs: List[Any],
     path: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Build (and optionally write) the Chrome-trace JSON object.
+    """Build (and optionally write) one Chrome-trace document covering
+    ``(run_name, sim)`` pairs.  With several runs each run's lanes get
+    their own pid range and a name prefix.  Uses whatever hop recorder
+    hangs off each simulator (``sim.hops``).
 
     The returned dict is the JSON-object flavour of the format —
     ``{"traceEvents": [...], ...}`` — which both ``chrome://tracing``
     and Perfetto accept; extra top-level keys are ignored by viewers.
     """
-    doc = _document(timeline_events(sim, hops), sim.now)
-    if path is not None:
-        _write(doc, path)
-    return doc
-
-
-def export_runs_timeline(
-    runs: List[Any],
-    path: Optional[str] = None,
-) -> Dict[str, Any]:
-    """One timeline document covering several ``(run_name, sim)`` pairs;
-    each run's lanes get their own pid range and a name prefix.  Uses
-    whatever hop recorder hangs off each simulator (``sim.hops``)."""
     events: List[Dict[str, Any]] = []
     sim_time = 0.0
     many = len(runs) > 1

@@ -253,9 +253,7 @@ def build_serve_run(
         incident_dir=getattr(args, "incident_dir", None),
     )
     obs.heartbeat_extra = workload.progress_line
-    obs.watch(nw.sim, run="serve")
-    recorder = obs.recorder_for(nw.sim)
-    assert recorder is not None  # watch() always arms one
+    watched = obs.watch(nw.sim, run="serve")
 
     fault_text = _read_rules(getattr(args, "faults", None))
     if fault_text:
@@ -270,15 +268,14 @@ def build_serve_run(
     alerts: Optional[AlertManager] = None
     alert_text = _read_rules(args.alert)
     if alert_text:
-        sampler = obs.sampler_for(nw.sim)
-        assert sampler is not None  # force_series guarantees one
+        assert watched.sampler is not None  # force_series guarantees one
         alerts = AlertManager(
             parse_slo_rules(alert_text),
             for_windows=args.alert_for,
             clear_windows=args.alert_clear,
             log=echo,
-        ).attach(sampler)
-        recorder.attach_alerts(alerts)
+        ).attach(watched.sampler)
+        watched.recorder.attach_alerts(alerts)
 
     state = ServeState()
     loop = ServeLoop(
@@ -287,7 +284,7 @@ def build_serve_run(
         pacer=Pacer(rate=args.rate),
         state=state,
         alerts=alerts,
-        recorder=recorder,
+        recorder=watched.recorder,
         duration=args.duration,
         quantum=args.quantum,
         drain_timeout=args.drain_timeout,

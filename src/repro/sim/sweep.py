@@ -11,7 +11,9 @@ because every point still runs its own seeded simulator and the merge
 never depends on completion order.
 
 Worker functions must be picklable (defined at module top level) and are
-called as ``fn(**point.params)``.
+called as ``fn(**point.params)``.  The runner never looks inside their
+return values: a worker ships whatever must outlive its process (such
+as observability artefacts) as plain data in the value it returns.
 
 Example
 -------
@@ -75,30 +77,6 @@ class SweepResult:
 
     point: SweepPoint
     value: Any
-
-    def snapshots(self) -> List[Dict[str, Any]]:
-        """Metric snapshots embedded anywhere in ``value`` — workers
-        build their own simulators, so snapshots travel inside the
-        return value (see :func:`repro.obs.export.find_snapshots`)."""
-        from repro.obs.export import find_snapshots
-
-        return find_snapshots(self.value)
-
-    def series(self) -> List[Dict[str, Any]]:
-        """Serialised time series embedded anywhere in ``value``, the
-        windowed companion of :meth:`snapshots` (see
-        :func:`repro.obs.series.find_series`)."""
-        from repro.obs.series import find_series
-
-        return find_series(self.value)
-
-    def incidents(self) -> List[Dict[str, Any]]:
-        """Flight-recorder incident bundles embedded anywhere in
-        ``value`` (see :func:`repro.obs.recorder.find_incidents`) —
-        merged into ``--incident-dir`` with deterministic numbering."""
-        from repro.obs.recorder import find_incidents
-
-        return find_incidents(self.value)
 
 
 def sweep_grid(**axes: Sequence[Any]) -> List[SweepPoint]:

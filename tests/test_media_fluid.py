@@ -33,10 +33,10 @@ JITTER_RTOL = 0.10
 JITTER_ATOL_MS = 1e-3
 
 
-def _load_point(arch: str, num_calls: int, media: str) -> dict:
+def _load_point(arch: str, num_calls: int, media: str, runs=None) -> dict:
     if arch == "vgprs":
-        return sweeps.vgprs_under_load(num_calls, media=media)
-    return sweeps.tgtr_under_load(num_calls, media=media)
+        return sweeps.vgprs_under_load(num_calls, media=media, runs=runs)
+    return sweeps.tgtr_under_load(num_calls, media=media, runs=runs)
 
 
 @pytest.mark.parametrize("arch,num_calls", GRID)
@@ -69,18 +69,19 @@ def test_fluid_frame_counts_match_events():
     drops the in-flight tail of an oversaturated spurt would still pass
     a means-only comparison."""
     for arch in ("vgprs", "tgtr"):
-        events = _load_point(arch, 3, "events")
-        fluid = _load_point(arch, 3, "fluid")
-        for name, hist in events["metrics"]["histograms"].items():
+        events, fluid = [], []
+        _load_point(arch, 3, "events", runs=events)
+        _load_point(arch, 3, "fluid", runs=fluid)
+        fluid_hists = fluid[0]["metrics"]["histograms"]
+        for name, hist in events[0]["metrics"]["histograms"].items():
             if name.endswith(".mouth_to_ear") or name.endswith(".jitter"):
-                assert fluid["metrics"]["histograms"][name]["count"] == (
-                    hist["count"]
-                ), name
+                assert fluid_hists[name]["count"] == hist["count"], name
 
 
 def _fluid_snapshot_json(num_calls: int) -> str:
-    result = sweeps.vgprs_under_load(num_calls, media="fluid")
-    return json.dumps(result["metrics"], sort_keys=True)
+    runs = []
+    sweeps.vgprs_under_load(num_calls, media="fluid", runs=runs)
+    return json.dumps(runs[0]["metrics"], sort_keys=True)
 
 
 def test_fluid_is_deterministic_per_seed():

@@ -238,22 +238,49 @@ class TestObsSession:
         obs.finish(echo=echoed.append)
         assert any(line.startswith("=== profile:") for line in echoed)
 
+    def shipped_run(self):
+        """What a sweep worker sends back: its watched run's record."""
+        sim = Simulator()
+        watched = ObsSession(force_series=True).watch(sim, run="sweep")
+        sim.metrics.counter("demo.counter").inc(3)
+        sim.schedule(1.0, lambda: None)
+        sim.run(until=2.5)
+        return watched.ship()
+
     def test_metrics_merge_with_extra_snapshots(self, tmp_path):
         metrics_path = tmp_path / "m.prom"
         obs = ObsSession(metrics_out=str(metrics_path))
-        sim = self.run_sim()
-        obs.watch(sim)
-        obs.extra_snapshots.append(sim.metrics.snapshot())
+        obs.watch(self.run_sim())
+        obs.shipped.append(self.shipped_run())
         obs.finish(echo=lambda line: None)
-        # Two identical snapshots merge: the counter doubles.
+        # The watched and the shipped snapshot merge: the counter doubles.
         assert "repro_demo_counter 6" in metrics_path.read_text()
 
     def test_extra_snapshots_only(self, tmp_path):
         metrics_path = tmp_path / "m.prom"
         obs = ObsSession(metrics_out=str(metrics_path))
-        obs.extra_snapshots.append(self.run_sim().metrics.snapshot())
+        obs.shipped.append(self.shipped_run())
         obs.finish(echo=lambda line: None)
         assert "repro_demo_counter 3" in metrics_path.read_text()
+
+    def test_watch_returns_one_record_per_sim(self):
+        obs = ObsSession(force_series=True)
+        sim = Simulator()
+        first = obs.watch(sim, run="a")
+        # Keyed on the simulator, not the run name.
+        assert obs.watch(sim, run="b") is first
+        assert obs.runs == [first]
+        assert first.name == "a" and first.sim is sim
+        assert first.sampler is not None and first.heartbeat is None
+        assert obs.watch(Simulator(), run="a") is not first
+
+    def test_ship_stops_sampling_and_returns_plain_data(self):
+        record = self.shipped_run()
+        assert set(record) == {"metrics", "series", "incidents"}
+        assert record["metrics"]["counters"]["demo.counter"] == 3
+        # Ticks at 1 and 2, then the flushed partial bucket at 2.5.
+        assert [b["t"] for b in record["series"]["buckets"]] == [1.0, 2.0, 2.5]
+        assert record["incidents"] == []
 
     def test_heartbeat_armed_and_stopped(self):
         obs = ObsSession(heartbeat=1.0)

@@ -18,12 +18,7 @@ from repro.obs.analyze import (
     render_report,
 )
 from repro.obs.analyze import main as analyze_main
-from repro.obs.recorder import (
-    FlightRecorder,
-    find_incidents,
-    merge_incidents,
-    plain_value,
-)
+from repro.obs.recorder import FlightRecorder, merge_incidents, plain_value
 from repro.obs.series import SeriesSampler
 from repro.obs.slo import SloWatchdog, parse_slo_rules
 from repro.sim.kernel import Simulator
@@ -76,7 +71,7 @@ def _bundle_dump(bundles):
 
 def incident_point(seed, plan=OUTAGE_PLAN):
     """Module-level sweep worker (picklable for --jobs N): bundles ride
-    the result value and are discovered by shape."""
+    the result value."""
     _nw, recorder = _outage_run(seed=seed, plan=plan, until=40.0)
     return {"seed": seed, "incidents": list(recorder.bundles)}
 
@@ -324,15 +319,14 @@ class TestSweepMerge:
         serial = run_sweep(incident_point, points, jobs=1)
         parallel = run_sweep(incident_point, points, jobs=2)
         merged_serial = merge_incidents(
-            find_incidents([r.value for r in serial])
+            [b for r in serial for b in r.value["incidents"]]
         )
         merged_parallel = merge_incidents(
-            find_incidents([r.value for r in parallel])
+            [b for r in parallel for b in r.value["incidents"]]
         )
         assert _bundle_dump(merged_serial) == _bundle_dump(merged_parallel)
         assert len(merged_serial) == 2
         # Renumbered in input order, original numbering untouched.
         assert [b["incident"] for b in merged_serial] == [1, 2]
         assert serial[1].value["incidents"][0]["incident"] == 1
-        # SweepResult.incidents() finds them by shape.
-        assert len(serial[0].incidents()) == 1
+        assert len(serial[0].value["incidents"]) == 1

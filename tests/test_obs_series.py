@@ -8,12 +8,7 @@ import pytest
 from repro.core import scenarios
 from repro.core.network import build_vgprs_network
 from repro.obs.export import export_trace_jsonl
-from repro.obs.series import (
-    SeriesSampler,
-    find_series,
-    is_series,
-    merge_series,
-)
+from repro.obs.series import SeriesSampler, merge_series
 from repro.sim.kernel import Simulator
 
 
@@ -153,22 +148,6 @@ class TestSampler:
         assert run(False) == run(True)
 
 
-class TestDetection:
-    def test_is_series(self):
-        assert is_series(series([bucket(1.0)]))
-        assert not is_series({"interval": 1.0, "buckets": []})
-        assert not is_series([1, 2])
-        # A PR-2 snapshot is not a series.
-        assert not is_series({"sim_time": 1.0, "counters": {},
-                              "gauges": {}, "histograms": {}})
-
-    def test_find_series_walks_sorted_keys(self):
-        a = series([bucket(1.0)])
-        b = series([bucket(2.0)])
-        value = {"z": [1, {"metrics": a}], "a": {"nested": (b,)}}
-        assert find_series(value) == [b, a]
-
-
 class TestMerge:
     def test_empty_input(self):
         merged = merge_series([])
@@ -207,6 +186,8 @@ class TestMerge:
         assert h["min"] == 1.0 and h["max"] == 4.0
 
     def test_merge_is_order_independent(self):
+        # Holds because every value here is exact in binary; float sums
+        # in general depend on the input order, which callers fix.
         parts = [
             series([bucket(1.0, counters={"x": 1},
                            histograms={"h": hist([1.0, 5.0])})]),

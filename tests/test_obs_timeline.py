@@ -15,10 +15,7 @@ from repro.obs.hops import (
     render_waterfall,
     waterfall_rows,
 )
-from repro.obs.timeline import (
-    export_runs_timeline,
-    export_timeline,
-)
+from repro.obs.timeline import export_runs_timeline
 from repro.sim.kernel import Simulator
 
 
@@ -132,7 +129,7 @@ class TestWaterfall:
 class TestTimelineExport:
     def test_document_shape_and_phases(self):
         nw = run_call()
-        doc = export_timeline(nw.sim, nw.sim.hops)
+        doc = export_runs_timeline([("main", nw.sim)])
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"]["link_order"] == list(FIGURE3_LINK_ORDER)
         events = doc["traceEvents"]
@@ -148,7 +145,7 @@ class TestTimelineExport:
 
     def test_async_span_events_balance(self):
         nw = run_call()
-        events = export_timeline(nw.sim, nw.sim.hops)["traceEvents"]
+        events = export_runs_timeline([("main", nw.sim)])["traceEvents"]
         begins = [e["id"] for e in events if e["ph"] == "b"]
         ends = [e["id"] for e in events if e["ph"] == "e"]
         assert begins and sorted(begins) == sorted(ends)
@@ -157,7 +154,7 @@ class TestTimelineExport:
     def test_export_is_deterministic(self):
         def dump():
             nw = run_call()
-            return json.dumps(export_timeline(nw.sim, nw.sim.hops),
+            return json.dumps(export_runs_timeline([("main", nw.sim)]),
                               sort_keys=True)
 
         assert dump() == dump()
@@ -165,7 +162,7 @@ class TestTimelineExport:
     def test_write_round_trips_as_json(self, tmp_path):
         nw = run_call()
         path = str(tmp_path / "timeline.json")
-        doc = export_timeline(nw.sim, nw.sim.hops, path=path)
+        doc = export_runs_timeline([("main", nw.sim)], path=path)
         with open(path) as fh:
             assert json.load(fh) == doc
 

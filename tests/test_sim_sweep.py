@@ -1,7 +1,12 @@
-"""Unit tests for the parallel sweep runner."""
+"""Unit tests for the parallel sweep runner, and the ``repro sweep``
+artefact path end to end."""
+
+import json
+import os
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.sim.kernel import Simulator
 from repro.sim.sweep import (
     SweepError,
@@ -94,3 +99,72 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "many")
         with pytest.raises(SweepError):
             resolve_jobs()
+
+
+#: A GK outage every sweep network sees, so every worker run captures
+#: one incident bundle.
+SWEEP_FAULTS = "at 2 link GK--IPNET down for 3"
+SWEEP_SLO = "trunks: total(*.international_seizures) <= 0"
+
+
+def _sweep_artefacts(tmp_path, experiment, jobs):
+    """Run ``repro sweep`` with every artefact flag; return the paths."""
+    out = tmp_path / f"j{jobs}"
+    out.mkdir()
+    paths = {
+        "metrics": str(out / "metrics.prom"),
+        "series": str(out / "series.json"),
+        "incidents": str(out / "incidents"),
+    }
+    rc = repro_main([
+        "sweep", "--experiment", experiment, "--jobs", str(jobs),
+        "--faults", SWEEP_FAULTS, "--slo", SWEEP_SLO,
+        "--metrics-out", paths["metrics"],
+        "--series-out", paths["series"],
+        "--incident-dir", paths["incidents"],
+    ])
+    assert rc == 0
+    return paths
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class TestSweepArtefacts:
+    """Every worker network's snapshot, series and bundles reach the
+    ``--metrics-out``/``--series-out``/``--incident-dir`` files, in a
+    fixed order, whatever the job count."""
+
+    @pytest.mark.parametrize("experiment,runs", [
+        ("setup-latency", 16),  # 4 points x 4 measurements
+        ("voice-quality", 8),   # 4 points x 2 architectures
+        ("residency", 6),       # 3 points x 2 architectures
+    ])
+    def test_parallel_artefacts_match_serial(self, tmp_path, capsys,
+                                             experiment, runs):
+        serial = _sweep_artefacts(tmp_path, experiment, 1)
+        parallel = _sweep_artefacts(tmp_path, experiment, 2)
+        capsys.readouterr()
+        for kind in ("metrics", "series"):
+            assert _read(serial[kind]) == _read(parallel[kind]), kind
+        names = sorted(os.listdir(serial["incidents"]))
+        assert names == sorted(os.listdir(parallel["incidents"]))
+        for name in names:
+            assert _read(os.path.join(serial["incidents"], name)) == _read(
+                os.path.join(parallel["incidents"], name)
+            ), name
+        with open(serial["series"]) as fh:
+            assert json.load(fh)["sources"] == runs
+        assert len(names) == runs
+
+    def test_voice_quality_ships_3gtr_first(self, tmp_path, capsys):
+        paths = _sweep_artefacts(tmp_path, "voice-quality", 1)
+        capsys.readouterr()
+        first = os.path.join(paths["incidents"], "incident-001.json")
+        with open(first) as fh:
+            entries = json.load(fh)["entries"]
+        assert entries
+        # The 3G TR baseline has no VMSC; vGPRS routes through one.
+        assert not any("VMSC" in (e["src"], e["dst"]) for e in entries)
