@@ -1,6 +1,7 @@
 """Micro-benchmarks: engineering throughput numbers (not paper figures).
 
-* packet build/parse throughput for the scapy-style codec;
+* packet build/parse throughput for the scapy-style codec, and one link
+  hop as wire-fidelity links run it (build, lazy parse, trace_info);
 * discrete-event kernel throughput — a soak-style *population* shape
   (1000 pending events at all times, exercising heap ordering) and a
   serial *chain* shape (one pending event, pure dispatch overhead);
@@ -16,6 +17,7 @@ from repro.core import scenarios
 from repro.core.network import build_vgprs_network
 from repro.core.sweeps import apply_media
 from repro.core.workload import CallWorkload, build_population
+from repro.gsm.relay import rename_packet
 from repro.packets.base import Packet
 from repro.packets.gtp import GtpHeader, MSG_T_PDU
 from repro.packets.ip import IPv4, UDP
@@ -55,6 +57,26 @@ def test_micro_packet_roundtrip(benchmark):
         return Packet.parse(SAMPLE.build())
 
     assert benchmark(roundtrip) == SAMPLE
+
+
+def _hop(packet):
+    """One wire-fidelity link hop: what ``Link.transmit`` and
+    ``Link._deliver`` do to every traced message."""
+    received = Packet.parse(packet.build(), lazy=True)
+    received.trace_info()
+    return received
+
+
+def test_micro_packet_hop(benchmark):
+    """Two hops with a relay between them: the second hop re-encodes the
+    renamed outer layer and re-emits the inner layers' received bytes."""
+
+    def relayed():
+        return _hop(rename_packet(_hop(SAMPLE), IPv4))
+
+    got = benchmark(relayed)
+    assert got == SAMPLE
+    assert got.build() == WIRE
 
 
 def test_micro_event_throughput(benchmark):

@@ -19,9 +19,19 @@ PDP-context tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from repro.errors import AddressError
+
+
+def is_decimal(text: str) -> bool:
+    """True when *text* is a non-empty run of ASCII digits ``0``-``9``.
+
+    ``str.isdigit`` alone also accepts superscripts (``"²"``) and other
+    scripts' digits (``"٣"``), which BCD cannot carry and ``int`` either
+    rejects or silently maps onto ``0``-``9``."""
+    return text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True, order=True)
@@ -36,7 +46,7 @@ class IMSI:
     digits: str
 
     def __post_init__(self) -> None:
-        if not self.digits.isdigit():
+        if not is_decimal(self.digits):
             raise AddressError(f"IMSI must be decimal digits, got {self.digits!r}")
         if not 6 <= len(self.digits) <= 15:
             raise AddressError(f"IMSI must be 6-15 digits, got {len(self.digits)}")
@@ -89,9 +99,9 @@ class E164Number:
     national: str
 
     def __post_init__(self) -> None:
-        if not self.country_code.isdigit() or not 1 <= len(self.country_code) <= 3:
+        if not is_decimal(self.country_code) or not 1 <= len(self.country_code) <= 3:
             raise AddressError(f"bad country code {self.country_code!r}")
-        if not self.national.isdigit() or not self.national:
+        if not is_decimal(self.national):
             raise AddressError(f"bad national number {self.national!r}")
 
     @classmethod
@@ -152,13 +162,19 @@ class IPv4Address:
             raise AddressError(f"bad IPv4 address {text!r}")
         value = 0
         for part in parts:
-            if not part.isdigit() or not 0 <= int(part) <= 255:
+            if not is_decimal(part) or not 0 <= int(part) <= 255:
                 raise AddressError(f"bad IPv4 octet in {text!r}")
             value = (value << 8) | int(part)
         return cls(value)
 
     def __str__(self) -> str:
-        return ".".join(str((self.value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+        return self._dotted
+
+    @cached_property
+    def _dotted(self) -> str:
+        # Traces stringify both addresses of every IP header.
+        v = self.value
+        return f"{v >> 24}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
 
 
 @dataclass(frozen=True, order=True)
@@ -186,9 +202,9 @@ class LAI:
     lac: int
 
     def __post_init__(self) -> None:
-        if not (self.mcc.isdigit() and len(self.mcc) == 3):
+        if not (is_decimal(self.mcc) and len(self.mcc) == 3):
             raise AddressError(f"bad MCC {self.mcc!r}")
-        if not (self.mnc.isdigit() and 2 <= len(self.mnc) <= 3):
+        if not (is_decimal(self.mnc) and 2 <= len(self.mnc) <= 3):
             raise AddressError(f"bad MNC {self.mnc!r}")
         if not 0 <= self.lac <= 0xFFFF:
             raise AddressError(f"LAC must fit in 16 bits, got {self.lac}")

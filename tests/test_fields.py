@@ -124,9 +124,23 @@ class TestDigits:
         with pytest.raises(FieldError):
             DigitsField("d").validate(123)
 
+    @pytest.mark.parametrize("digits", ["12\u00b2", "12\u0663", "\uff11\uff12"])
+    def test_non_ascii_digits_rejected(self, digits):
+        # str.isdigit() accepts these; BCD cannot carry them.  "12²"
+        # used to pass validation and fail in build() with a bare
+        # ValueError, and "12٣" was silently encoded as "123".
+        with pytest.raises(FieldError):
+            DigitsField("d").validate(digits)
+        with pytest.raises(FieldError):
+            DigitsField("d").encode(digits)
+
     def test_bad_bcd_nibble(self):
         with pytest.raises(FieldError):
             DigitsField("d").decode(b"\x02\xaa", 0)
+
+    def test_decode_accepts_bytearray(self):
+        wire = DigitsField("d").encode("12345")
+        assert DigitsField("d").decode(bytearray(wire), 0) == ("12345", 4)
 
 
 class TestDomainFields:

@@ -1,5 +1,7 @@
 """Unit tests for subscriber and network identities."""
 
+import pickle
+
 import pytest
 
 from repro.errors import AddressError
@@ -26,6 +28,11 @@ class TestImsi:
     def test_non_digits_rejected(self):
         with pytest.raises(AddressError):
             IMSI("46692000000000a")
+
+    @pytest.mark.parametrize("last", ["\u0663", "\u00b2", "\uff13"])
+    def test_non_ascii_digits_rejected(self, last):
+        with pytest.raises(AddressError):
+            IMSI("46692000000000" + last)
 
     def test_too_long_rejected(self):
         with pytest.raises(AddressError):
@@ -85,6 +92,13 @@ class TestE164:
         with pytest.raises(AddressError):
             E164Number("44", "12x45")
 
+    @pytest.mark.parametrize("cc, national", [
+        ("8\u0668", "35712121"), ("886", "3571212\u00b2"), ("886", "\u0663"),
+    ])
+    def test_non_ascii_digits_rejected(self, cc, national):
+        with pytest.raises(AddressError):
+            E164Number(cc, national)
+
 
 class TestAsE164:
     def test_passthrough(self):
@@ -126,7 +140,8 @@ class TestIPv4:
         assert IPv4Address.parse("10.0.0.1").value == 0x0A000001
 
     def test_bad_formats(self):
-        for text in ("10.0.0", "10.0.0.0.1", "10.0.0.256", "a.b.c.d", ""):
+        for text in ("10.0.0", "10.0.0.0.1", "10.0.0.256", "a.b.c.d", "",
+                     "10.0.0.\u0661", "10.0.0.\u00b2"):
             with pytest.raises(AddressError):
                 IPv4Address.parse(text)
 
@@ -136,6 +151,15 @@ class TestIPv4:
 
     def test_ordering(self):
         assert IPv4Address.parse("10.0.0.1") < IPv4Address.parse("10.0.0.2")
+
+    def test_str_cache_keeps_repr_eq_and_pickle(self):
+        address = IPv4Address.parse("192.0.2.1")
+        assert str(address) == "192.0.2.1"
+        assert repr(address) == "IPv4Address(value=3221225985)"
+        copy = pickle.loads(pickle.dumps(address))
+        assert copy == address and hash(copy) == hash(address)
+        assert str(copy) == "192.0.2.1"
+        assert not copy < address
 
 
 class TestTunnelId:
@@ -166,6 +190,8 @@ class TestLaiCell:
             LAI("466", "9", 1)
         with pytest.raises(AddressError):
             LAI("466", "92", 1 << 16)
+        with pytest.raises(AddressError):
+            LAI("46\u0666", "92", 1)
 
     def test_cell_id(self):
         lai = LAI("466", "92", 1)

@@ -2,14 +2,26 @@
 
 import pytest
 
-from repro.errors import PacketError
+from repro.errors import FieldError, PacketError
+from repro.gsm.relay import rename_packet
 from repro.identities import IMSI, E164Number, IPv4Address, TunnelId
-from repro.packets.base import Packet, Raw
+from repro.packets.base import _WIRE_REGISTRY, Packet, Raw
 from repro.packets.bssap import (
     AuthenticationRequest,
     TchFrame,
     UmLocationUpdateRequest,
     UmSetup,
+)
+from repro.packets.fields import (
+    BoolField,
+    BytesField,
+    DigitsField,
+    E164Field,
+    EnumField,
+    ImsiField,
+    OptionalField,
+    TunnelIdField,
+    UIntField,
 )
 from repro.packets.gmm import ActivatePdpContextRequest, GprsAttachRequest
 from repro.packets.gtp import GtpCreatePdpContextRequest, GtpHeader, MSG_T_PDU
@@ -198,9 +210,145 @@ def test_protocol_message_tunnelled_roundtrip(pkt):
         assert back.flow_name() == pkt.flow_name()
 
 
-def test_wire_ids_unique_across_registry():
-    from repro.packets.base import _WIRE_REGISTRY
+def _tunnelled(pkt):
+    return (
+        IPv4(src=IP_A, dst=IP_B)
+        / UDP(sport=3386, dport=3386)
+        / GtpHeader(msg_type=MSG_T_PDU, seq=0, tid=TunnelId(IMSI1, 5))
+        / pkt.copy()
+    )
 
+
+def _outcome(parse, data):
+    """``("ok", packet)`` or the raised error as ``(type, message)``."""
+    try:
+        return "ok", parse(data)
+    except (PacketError, FieldError) as exc:
+        return type(exc), str(exc)
+
+
+def _field_offsets(pkt):
+    """``{field name: offset}`` of *pkt*'s own fields in ``pkt.build()``."""
+    offsets, offset = {}, 2
+    for field in type(pkt).fields:
+        offsets[field.name] = offset
+        offset += len(field.encode(getattr(pkt, field.name)))
+    return offsets
+
+
+def _changed_value(field, value):
+    """A valid value for *field* other than *value*, or ``None``."""
+    inner = field.inner if isinstance(field, OptionalField) else field
+    if value is None or isinstance(inner, EnumField):
+        return None
+    if isinstance(inner, UIntField):
+        return value ^ 1
+    if isinstance(inner, (BytesField, DigitsField)):  # str and bytes alike
+        return value + value[:1] if value else None
+    if isinstance(inner, ImsiField):
+        return IMSI("466920000000002") if value == IMSI1 else IMSI1
+    if isinstance(inner, E164Field):
+        return E164Number("886", "935000002")
+    return None
+
+
+@pytest.mark.parametrize("pkt", PROTO_SAMPLES, ids=lambda p: type(p).__name__)
+class TestLazyParse:
+    """``parse(lazy=True)`` is what every wire-fidelity link hop runs."""
+
+    def test_lazy_equals_eager(self, pkt):
+        for frame in (pkt, _tunnelled(pkt)):
+            wire = frame.build()
+            lazy = Packet.parse(wire, lazy=True)
+            assert lazy == Packet.parse(wire) == frame
+            assert lazy.build() == wire
+            assert lazy.trace_info() == frame.trace_info()
+            assert lazy.flow_name() == frame.flow_name()
+
+    def test_structural_errors_raise_at_lazy_parse(self, pkt):
+        wire = _tunnelled(pkt).build()
+        bad = [wire[:cut] for cut in range(len(wire))]
+        bad += [wire + b"\x00", wire + b"\x00\x01", b"\xff\xff" + wire[2:]]
+        inner_at = len(wire) - len(pkt.build())
+        for name, offset in _field_offsets(pkt).items():
+            if isinstance(type(pkt)._field_map[name], OptionalField):
+                at = inner_at + offset
+                bad.append(wire[:at] + b"\x02" + wire[at + 1 :])
+        for data in bad:
+            lazy = _outcome(lambda d: Packet.parse(d, lazy=True), data)
+            assert lazy == _outcome(Packet.parse, data), data
+
+    def test_value_errors_deferred_to_first_read(self, pkt):
+        wire = pkt.build()
+        cases = []
+        for name, offset in _field_offsets(pkt).items():
+            field = type(pkt)._field_map[name]
+            if isinstance(field, OptionalField):
+                if getattr(pkt, name) is None:
+                    continue
+                field, offset = field.inner, offset + 1
+            if isinstance(field, BoolField):
+                cases.append((name, offset, 0x07))
+            elif isinstance(field, (DigitsField, ImsiField, E164Field,
+                                    TunnelIdField)) and wire[offset]:
+                cases.append((name, offset + 1, 0xAA))
+        for name, at, byte in cases:
+            data = wire[:at] + bytes([byte]) + wire[at + 1 :]
+            eager = _outcome(Packet.parse, data)
+            assert eager[0] is FieldError
+            lazy = Packet.parse(data, lazy=True)  # does not raise
+            with pytest.raises(FieldError) as read:
+                getattr(lazy, name)
+            assert str(read.value) == eager[1]
+
+    def test_assignment_after_lazy_parse_changes_build(self, pkt):
+        wire = pkt.build()
+        changed = 0
+        for field in type(pkt).fields:
+            new = _changed_value(field, getattr(pkt, field.name))
+            if new is None:
+                continue
+            lazy = Packet.parse(wire, lazy=True)
+            setattr(lazy, field.name, new)
+            expected = pkt.copy()
+            setattr(expected, field.name, new)
+            assert lazy.build() == expected.build() != wire
+            changed += 1
+        assert changed
+
+    def test_payload_reassignment_is_honoured(self, pkt):
+        lazy = Packet.parse(pkt.build(), lazy=True)
+        lazy.payload = Raw(data=b"tail")
+        assert lazy.build() == (pkt.copy() / Raw(data=b"tail")).build()
+        frame = Packet.parse(_tunnelled(pkt).build(), lazy=True)
+        frame.get_layer(GtpHeader).payload = Raw(data=b"swap")
+        expected = _tunnelled(pkt)
+        expected.get_layer(GtpHeader).payload = Raw(data=b"swap")
+        assert frame.build() == expected.build()
+
+    def test_renamed_clone_builds_with_its_own_wire_id(self, pkt):
+        target = next(
+            (cls for cls in _WIRE_REGISTRY.values()
+             if cls.fields is type(pkt).fields and cls is not type(pkt)),
+            type(pkt),
+        )
+        lazy = Packet.parse(pkt.build(), lazy=True)
+        clone = rename_packet(lazy, target)
+        wire = clone.build()
+        assert wire[:2] == target.wire_id.to_bytes(2, "big")
+        assert wire[2:] == pkt.build()[2:]
+        assert type(Packet.parse(wire)) is target
+
+    def test_parse_accepts_bytearray(self, pkt):
+        wire = _tunnelled(pkt).build()
+        for lazy in (False, True):
+            back = Packet.parse(bytearray(wire), lazy=lazy)
+            assert back == _tunnelled(pkt)
+            built = back.build()
+            assert type(built) is bytes and built == wire
+
+
+def test_wire_ids_unique_across_registry():
     assert len(_WIRE_REGISTRY) == len(set(_WIRE_REGISTRY))
     names = [cls.__name__ for cls in _WIRE_REGISTRY.values()]
     assert len(names) == len(set(names))
