@@ -51,14 +51,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.faults import FaultPlan, apply_faults
 from repro.obs import ObsSession
+from repro.obs.session import add_obs_flags, checked_text
 
 
 def demo_call(obs: ObsSession, media: str = "events", faults=None) -> None:
     from repro.core import scenarios
     from repro.core.network import build_vgprs_network
     from repro.core.sweeps import apply_media
-    from repro.faults import apply_faults
 
     nw = build_vgprs_network()
     apply_media(nw.sim, media)
@@ -296,97 +297,26 @@ def main(argv=None) -> int:
              "model (default: fluid for sweeps, events for demos)",
     )
     parser.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        help="write a JSONL trace (spans + events) to FILE",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        help="write a Prometheus text-format metrics snapshot to FILE",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the run with cProfile and print per-package "
-             "self-time shares and the top functions",
-    )
-    parser.add_argument(
-        "--heartbeat",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="print a progress line to stderr every SECS simulated seconds",
-    )
-    parser.add_argument(
-        "--series-out",
-        metavar="FILE",
-        help="write a sim-time-bucketed metric time series (JSON) to FILE",
-    )
-    parser.add_argument(
-        "--series-interval",
-        type=float,
-        default=1.0,
-        metavar="SECS",
-        help="time-series bucket width in simulated seconds (default: 1.0)",
-    )
-    parser.add_argument(
-        "--timeline-out",
-        metavar="FILE",
-        help="write a Chrome-trace-event timeline (spans + link hops) "
-             "to FILE; open in chrome://tracing or ui.perfetto.dev",
-    )
-    parser.add_argument(
         "--waterfall",
         action="store_true",
         help="print per-procedure per-link latency waterfalls",
     )
     parser.add_argument(
-        "--slo",
-        metavar="RULES",
-        help="SLO rules ('name: func(glob) OP threshold', ';'-separated) "
-             "or @FILE to read them from a file; violations exit nonzero",
-    )
-    parser.add_argument(
         "--faults",
         metavar="PLAN",
+        type=checked_text(FaultPlan.parse),
         help="fault plan ('at T link A--B down for D', ';'-separated, "
              "or @FILE / JSON) injected into the topology; sweep workers "
              "arm the same plan on every point (call and sweep scenarios)",
     )
-    parser.add_argument(
-        "--incident-dir",
-        metavar="DIR",
-        help="write flight-recorder incident bundles (captured around "
-             "faults, alert trips, and nonzero exits) to DIR for "
-             "'python -m repro analyze'",
-    )
+    add_obs_flags(parser)
     args = parser.parse_args(argv)
-    slo = args.slo
-    if slo and slo.startswith("@"):
-        with open(slo[1:], "r", encoding="utf-8") as fh:
-            slo = fh.read()
-    faults = args.faults
-    if faults and faults.startswith("@"):
-        with open(faults[1:], "r", encoding="utf-8") as fh:
-            faults = fh.read()
-    obs = ObsSession(
-        trace_out=args.trace_out,
-        metrics_out=args.metrics_out,
-        profile=args.profile,
-        heartbeat=args.heartbeat,
-        series_out=args.series_out,
-        series_interval=args.series_interval,
-        timeline_out=args.timeline_out,
-        waterfall=args.waterfall,
-        slo=slo,
-        incident_dir=args.incident_dir,
-    )
+    obs = ObsSession.from_args(args, waterfall=args.waterfall)
     if args.scenario == "sweep":
         demo_sweep(args.experiment, obs, jobs=args.jobs,
-                   media=args.media or "fluid", faults=faults)
+                   media=args.media or "fluid", faults=args.faults)
     elif args.scenario == "call":
-        demo_call(obs, media=args.media or "events", faults=faults)
+        demo_call(obs, media=args.media or "events", faults=args.faults)
     else:
         SCENARIOS[args.scenario](obs)
     return obs.finish()

@@ -16,14 +16,17 @@ Layers on the :mod:`repro.sim` primitives (``TraceRecorder``,
   latency waterfalls over the Figure-3 protocol stack;
 * :mod:`repro.obs.timeline` — Chrome-trace-event/Perfetto export of
   spans and link hops;
-* :mod:`repro.obs.slo` — declarative SLO rules evaluated over series
-  windows, with deterministic violation collection;
+* :mod:`repro.obs.slo` — declarative rules evaluated over series
+  windows: sticky ``--slo`` verdicts and the live ``--alert``
+  pending/firing/resolved lifecycle, both on one watchdog that folds
+  each bucket once;
 * :mod:`repro.obs.recorder` — always-on bounded flight recorder,
   incident bundle capture and merging;
 * :mod:`repro.obs.analyze` — ``python -m repro analyze``: post-mortem
   blast-radius reports over incident bundles;
-* :mod:`repro.obs.session` — the ``python -m repro`` flag plumbing: one
-  :class:`WatchedRun` record per simulator, shipped as plain data by
+* :mod:`repro.obs.session` — the flag plumbing both command lines
+  share (one flag table, one ``@FILE`` reader, one session constructor):
+  one :class:`WatchedRun` record per simulator, shipped as plain data by
   sweep workers.
 
 Nothing here imports :mod:`repro.sim.kernel` (the kernel imports the

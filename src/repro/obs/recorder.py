@@ -5,7 +5,7 @@ happened, yet the moment an alert fires the operator needs exactly the
 history that just scrolled away.  A :class:`FlightRecorder` subscribes
 to the same passive hook lists the span tracker and SLO watchdog
 already use — ``TraceRecorder.sinks``, ``SpanTracker.on_close``,
-``SeriesSampler.on_bucket``, ``AlertManager.on_transition`` — and keeps
+``SeriesSampler.on_bucket``, ``SloWatchdog.on_transition`` — and keeps
 four bounded rings of recent history: trace entries, span closures,
 series buckets and alert transitions.  Appends are O(1)
 (``collections.deque`` with ``maxlen``), the recorder never schedules
@@ -175,14 +175,15 @@ class FlightRecorder:
 
     def attach_sampler(self, sampler: Any) -> "FlightRecorder":
         """Ring every bucket *sampler* closes (after the subscribers
-        already attached — SLO watchdog)."""
+        already attached; attach before the SLO watchdog, so a bucket is
+        ringed before any alert transition it triggers)."""
         sampler.on_bucket.append(self._on_bucket)
         return self
 
-    def attach_alerts(self, manager: Any) -> "FlightRecorder":
-        """Ring every alert transition *manager* records; a rule leaving
+    def attach_alerts(self, watchdog: Any) -> "FlightRecorder":
+        """Ring every alert transition *watchdog* records; a rule leaving
         ``ok`` (a ``pending`` transition) triggers an incident capture."""
-        manager.on_transition.append(self._on_alert_transition)
+        watchdog.on_transition.append(self._on_alert_transition)
         return self
 
     # ------------------------------------------------------------------

@@ -3,9 +3,16 @@
 ``python -m repro`` scenarios build one or more simulators; an
 :class:`ObsSession` carries the ``--trace-out``/``--metrics-out``/
 ``--profile``/``--heartbeat``/``--series-out``/``--timeline-out``/
-``--waterfall``/``--slo`` choices, attaches them to each simulator as it
-is built, and writes every artefact at the end.  Kept in the library
-(not ``__main__``) so tests and notebooks can drive the same plumbing.
+``--waterfall``/``--slo`` choices (and serve mode's ``--alert`` rules),
+attaches them to each simulator as it is built, and writes every
+artefact at the end.  Kept in the library (not ``__main__``) so tests
+and notebooks can drive the same plumbing.
+
+Both command lines declare the shared flags with :func:`add_obs_flags`
+and build their session with :meth:`ObsSession.from_args`.  Rule sets,
+fault plans and ``@FILE`` paths are checked while the arguments parse
+(:func:`checked_text`), so bad input is a usage error before any
+topology is built.
 
 :meth:`ObsSession.watch` returns one :class:`WatchedRun` per simulator:
 the run name, the simulator and the instrumentation armed on it.  Sweep
@@ -17,12 +24,14 @@ merges from :attr:`ObsSession.shipped`.
 
 from __future__ import annotations
 
+import argparse
 import cProfile
 import json
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.errors import ReproError
 from repro.obs.export import export_trace_jsonl, merge_snapshots
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.hops import HopRecorder, render_waterfall
@@ -41,6 +50,78 @@ from repro.obs.timeline import export_runs_timeline
 
 #: At most this many root-span waterfalls are printed per run.
 MAX_WATERFALLS = 12
+
+
+def checked_text(parse: Callable[[str], Any]) -> Callable[[str], str]:
+    """An argparse ``type=`` that reads ``@FILE`` (other text is used
+    as given), checks the text with *parse* and keeps the text, so a
+    missing file or a grammar error is a usage error."""
+    def convert(text: str) -> str:
+        try:
+            if text.startswith("@"):
+                with open(text[1:], "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            parse(text)
+        except (OSError, ValueError, ReproError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return convert
+
+
+def positive_int(text: str) -> int:
+    """An argparse ``type=`` for counts that must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+#: The observability flags both command lines share, as ``(flag,
+#: add_argument options)``; each ``dest`` names an ObsSession parameter.
+OBS_FLAGS = (
+    ("--trace-out", dict(
+        metavar="FILE", help="write a JSONL trace (spans + events) to FILE")),
+    ("--metrics-out", dict(
+        metavar="FILE",
+        help="write the final Prometheus metrics snapshot to FILE")),
+    ("--profile", dict(
+        action="store_true",
+        help="profile the run with cProfile and print per-package "
+             "self-time shares and the top functions")),
+    ("--heartbeat", dict(
+        type=float, default=None, metavar="SECS",
+        help="print a progress line to stderr every SECS simulated seconds")),
+    ("--series-out", dict(
+        metavar="FILE",
+        help="write a sim-time-bucketed metric time series (JSON) to FILE")),
+    ("--series-interval", dict(
+        type=float, default=1.0, metavar="SECS",
+        help="series bucket width, also the SLO/alert evaluation cadence "
+             "(default: 1.0)")),
+    ("--timeline-out", dict(
+        metavar="FILE",
+        help="write a Chrome-trace-event timeline (spans + link hops) to "
+             "FILE; open in chrome://tracing or ui.perfetto.dev")),
+    ("--slo", dict(
+        type=checked_text(parse_slo_rules), metavar="RULES",
+        help="SLO rules ('name: func(glob) OP threshold', ';'-separated, "
+             "or @FILE) judged with sticky-fail semantics at the end; a "
+             "failed rule exits 1")),
+    ("--incident-dir", dict(
+        metavar="DIR",
+        help="write flight-recorder incident bundles (captured around "
+             "faults, alert trips and nonzero exits) to DIR for "
+             "'python -m repro analyze'")),
+)
+_OBS_DESTS = tuple(flag[2:].replace("-", "_") for flag, _ in OBS_FLAGS)
+
+
+def add_obs_flags(parser: Any) -> None:
+    """Declare :data:`OBS_FLAGS` on *parser* (a parser or an argument
+    group)."""
+    for flag, options in OBS_FLAGS:
+        parser.add_argument(flag, **options)
 
 
 @dataclass(eq=False)
@@ -89,6 +170,9 @@ class ObsSession:
         slo: Optional[str] = None,
         force_series: bool = False,
         incident_dir: Optional[str] = None,
+        alert: Optional[str] = None,
+        alert_for: int = 2,
+        alert_clear: int = 2,
     ) -> None:
         self.trace_out = trace_out
         self.metrics_out = metrics_out
@@ -109,6 +193,13 @@ class ObsSession:
         self.heartbeat_extra: Optional[Callable[[], str]] = None
         #: Parsed SLO rules (grammar errors surface before any sim runs).
         self.slo_rules: List[SloRule] = parse_slo_rules(slo) if slo else []
+        #: Parsed alert rules, stepped through the live lifecycle by the
+        #: same watchdog, with their for/clear hysteresis in buckets.
+        self.alert_rules: List[SloRule] = (
+            parse_slo_rules(alert) if alert else []
+        )
+        self.alert_for = alert_for
+        self.alert_clear = alert_clear
         #: Exit status for the CLI: 1 once any SLO rule fails.
         self.exit_code = 0
         #: The ``--profile`` profiler: enabled at the first watch(),
@@ -120,17 +211,28 @@ class ObsSession:
         #: after this session's own runs, in list order.
         self.shipped: List[Dict[str, Any]] = []
 
+    @classmethod
+    def from_args(
+        cls, args: argparse.Namespace, **options: Any
+    ) -> "ObsSession":
+        """Build a session from arguments parsed with
+        :func:`add_obs_flags`; *options* add the non-shared ones."""
+        shared = {dest: getattr(args, dest) for dest in _OBS_DESTS}
+        return cls(**shared, **options)
+
     @property
     def active(self) -> bool:
         return bool(
             self.trace_out or self.metrics_out or self.profile
             or self.heartbeat or self.series_out or self.timeline_out
-            or self.waterfall or self.slo_rules or self.incident_dir
+            or self.waterfall or self.slo_rules or self.alert_rules
+            or self.incident_dir
         )
 
     @property
     def _wants_series(self) -> bool:
-        return bool(self.series_out or self.slo_rules or self.force_series)
+        return bool(self.series_out or self.slo_rules or self.alert_rules
+                    or self.force_series)
 
     @property
     def _wants_hops(self) -> bool:
@@ -157,9 +259,18 @@ class ObsSession:
             ).start()
         if self._wants_series:
             sampler = SeriesSampler(sim, interval=self.series_interval)
-            if self.slo_rules:
-                record.watchdog = SloWatchdog(self.slo_rules).attach(sampler)
+            # The recorder rings each bucket before the watchdog judges
+            # it, so a bundle opened by an alert already holds the
+            # bucket that tripped it.
             record.recorder.attach_sampler(sampler)
+            if self.slo_rules or self.alert_rules:
+                record.watchdog = SloWatchdog(
+                    self.slo_rules,
+                    alert_rules=self.alert_rules,
+                    for_windows=self.alert_for,
+                    clear_windows=self.alert_clear,
+                ).attach(sampler)
+                record.recorder.attach_alerts(record.watchdog)
             record.sampler = sampler.start()
         if self._wants_hops and sim.hops is None:
             sim.hops = HopRecorder(sim)
@@ -225,7 +336,7 @@ class ObsSession:
                     echo(f"... {len(roots) - MAX_WATERFALLS} more span(s) "
                          f"in run {r.name!r} not shown")
         for r in self.runs:
-            if r.watchdog is None:
+            if r.watchdog is None or not self.slo_rules:
                 continue
             results = r.watchdog.finalize()
             echo(render_slo_report(results, title=f"SLO [{r.name}]"))

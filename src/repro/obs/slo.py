@@ -43,6 +43,21 @@ violating window fails the rule — that is the leak/staleness shape.
 Cumulative functions are judged once, on the final state — that is the
 latency-budget shape (early small-sample wobble does not fail a run
 whose converged p95 meets the budget).
+
+**Alert lifecycle.**  A service has no end, so ``repro serve --alert``
+rules are instead re-judged at every closed bucket, windowed or not,
+and each drives a Prometheus-style lifecycle::
+
+    ok -> pending -> firing -> resolved -> pending -> ...
+
+A rule goes *pending* on its first bad bucket, *firing* after
+``for_windows`` consecutive bad buckets, and *resolved* after
+``clear_windows`` consecutive good buckets; a pending alert whose value
+recovers before firing drops straight back to *ok* (no flap recorded).
+Both rule sets live on one :class:`SloWatchdog`, which folds each bucket
+once; they keep separate name spaces.  Exit semantics for a drained
+service: ``0`` when nothing ever fired, ``2`` when alerts fired but all
+resolved, ``1`` when any alert is still firing (or pending) at exit.
 """
 
 from __future__ import annotations
@@ -50,7 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.export import _merge_histograms
 
@@ -67,6 +82,10 @@ _WINDOWED_FUNCS = frozenset({"delta", "rate", "idle"})
 #: Per rule, at most this many individual window violations are kept
 #: (the count keeps running) — bounded memory over long soaks.
 MAX_RECORDED_VIOLATIONS = 50
+
+#: At most this many alert transitions are kept for ``/alerts`` (the
+#: count keeps running) — bounded memory over an arbitrarily long service.
+MAX_TRANSITIONS = 200
 
 
 class SloError(ValueError):
@@ -183,16 +202,57 @@ class SloResult:
         }
 
 
-class SloWatchdog:
-    """Evaluates parsed rules against series buckets as they close.
+@dataclass
+class Alert:
+    """Lifecycle state for one ``--alert`` rule."""
 
-    Subscribe it to a sampler with :meth:`attach` (appends to
-    ``sampler.on_bucket``), or replay a finished serialised series with
-    :func:`evaluate_series`.  All state advances only on bucket
+    rule: SloRule
+    state: str = "ok"
+    value: float = 0.0
+    #: Sim time of the last state transition.
+    since: float = 0.0
+    bad_streak: int = 0
+    good_streak: int = 0
+    #: Times this alert entered ``firing``.
+    fired_count: int = 0
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "name": self.rule.name,
+            "rule": self.rule.source,
+            "state": self.state,
+            "value": self.value,
+            "threshold": self.rule.threshold,
+            "op": self.rule.op,
+            "since": self.since,
+            "fired_count": self.fired_count,
+        }
+
+
+class SloWatchdog:
+    """Folds series buckets and judges two rule sets against them.
+
+    *rules* get the sticky batch verdict from :meth:`finalize`;
+    *alert_rules* step the alert lifecycle at every bucket (module
+    docstring).  Subscribe it to a sampler with :meth:`attach` (appends
+    to ``sampler.on_bucket``), or replay a finished serialised series
+    with :func:`evaluate_series`.  All state advances only on bucket
     boundaries, so evaluation is deterministic for a seeded run.
     """
 
-    def __init__(self, rules: List[SloRule], start: float = 0.0) -> None:
+    def __init__(
+        self,
+        rules: Sequence[SloRule],
+        start: float = 0.0,
+        alert_rules: Sequence[SloRule] = (),
+        for_windows: int = 2,
+        clear_windows: int = 2,
+    ) -> None:
+        if for_windows < 1 or clear_windows < 1:
+            raise ValueError(
+                "for_windows and clear_windows must be >= 1, got "
+                f"{for_windows!r}/{clear_windows!r}"
+            )
         self.rules = list(rules)
         self.start = start
         self.now = start
@@ -212,20 +272,39 @@ class SloWatchdog:
         self._violation_counts: Dict[str, int] = {
             r.name: 0 for r in self.rules
         }
+        self.for_windows = for_windows
+        self.clear_windows = clear_windows
+        #: One lifecycle per alert rule, rule order.
+        self.alerts: List[Alert] = [
+            Alert(rule=r, since=start) for r in alert_rules
+        ]
+        #: Bounded alert transition history, oldest first.
+        self.transitions: List[Dict[str, Any]] = []
+        #: Total transitions, including ones past the recording bound.
+        self.transition_count = 0
+        #: Subscribers called in order with each transition entry (the
+        #: flight recorder appends here).
+        self.on_transition: List[Callable[[Dict[str, Any]], None]] = []
+        #: Receives one ``[alert]`` line per transition, after the
+        #: subscribers (serve mode: stderr).
+        self.log: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------
     # Feeding
     # ------------------------------------------------------------------
     def attach(self, sampler: Any) -> "SloWatchdog":
-        """Subscribe to every bucket *sampler* closes; also aligns the
-        idle clock to the sampler's start instant."""
+        """Subscribe to every bucket *sampler* closes (after the
+        subscribers already attached); also aligns the idle clock and the
+        alerts' ``since`` to the sampler's start instant."""
         self.start = self.now = self._prev_t = sampler.started_at
+        for alert in self.alerts:
+            alert.since = sampler.started_at
         sampler.on_bucket.append(self.push)
         return self
 
     def push(self, bucket: Dict[str, Any]) -> None:
-        """Fold one closed bucket into the state and check the windowed
-        rules against it."""
+        """Fold one closed bucket into the state, check the windowed
+        rules against it and step every alert's lifecycle."""
         t = bucket["t"]
         self._last_width = max(t - self._prev_t, 0.0)
         self._prev_t = t
@@ -257,6 +336,77 @@ class SloWatchdog:
                 recorded = self._violations[rule.name]
                 if len(recorded) < MAX_RECORDED_VIOLATIONS:
                     recorded.append((t, value))
+        if self.alerts:
+            t = float(t)
+            for alert in self.alerts:
+                alert.value = self._evaluate(alert.rule)
+                if alert.rule.holds(alert.value):
+                    self._step_good(alert, t)
+                else:
+                    self._step_bad(alert, t)
+
+    # ------------------------------------------------------------------
+    # Alert lifecycle
+    # ------------------------------------------------------------------
+    def _step_bad(self, alert: Alert, t: float) -> None:
+        alert.good_streak = 0
+        alert.bad_streak += 1
+        if alert.state in ("ok", "resolved"):
+            self._transition(alert, "pending", t)
+        if alert.state == "pending" and alert.bad_streak >= self.for_windows:
+            alert.fired_count += 1
+            self._transition(alert, "firing", t)
+
+    def _step_good(self, alert: Alert, t: float) -> None:
+        alert.bad_streak = 0
+        if alert.state == "pending":
+            # Recovered before the for-window elapsed: not a flap.
+            self._transition(alert, "ok", t)
+        elif alert.state == "firing":
+            alert.good_streak += 1
+            if alert.good_streak >= self.clear_windows:
+                self._transition(alert, "resolved", t)
+
+    def _transition(self, alert: Alert, to_state: str, t: float) -> None:
+        entry = {
+            "t": t,
+            "alert": alert.rule.name,
+            "from": alert.state,
+            "to": to_state,
+            "value": alert.value,
+        }
+        alert.state = to_state
+        alert.since = t
+        self.transition_count += 1
+        if len(self.transitions) < MAX_TRANSITIONS:
+            self.transitions.append(entry)
+        for hook in self.on_transition:
+            hook(entry)
+        if self.log is not None:
+            self.log(
+                f"[alert] t={t:.3f} {alert.rule.name}: "
+                f"{entry['from']} -> {to_state} (value={alert.value:.6g}, "
+                f"rule: {alert.rule.source})"
+            )
+
+    def alert_payload(self) -> Dict[str, Any]:
+        """Plain data for ``/alerts`` (and the final report)."""
+        return {
+            "alerts": [a.to_dict() for a in self.alerts],
+            "transitions": list(self.transitions),
+            "transition_count": self.transition_count,
+        }
+
+    @property
+    def ever_fired(self) -> bool:
+        return any(a.fired_count for a in self.alerts)
+
+    def alert_exit_code(self) -> int:
+        """``0`` nothing fired; ``2`` fired but resolved; ``1`` firing
+        (or still pending) at exit."""
+        if any(a.state in ("firing", "pending") for a in self.alerts):
+            return 1
+        return 2 if self.ever_fired else 0
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -324,12 +474,6 @@ class SloWatchdog:
             pool = bucket["histograms"] if bucket is not None else {}
             return self._hist_value(func[4:], pattern, pool)
         return self._hist_value(func, pattern, self._hist_cum)
-
-    def current_value(self, rule: SloRule) -> float:
-        """Evaluate *rule* against the state folded so far — the live
-        reading behind the serve-mode alert lifecycle, where every rule
-        (windowed or cumulative) is re-judged at each closed bucket."""
-        return self._evaluate(rule)
 
     def finalize(self) -> List[SloResult]:
         """Final verdict per rule, in rule order.  Windowed rules fail on

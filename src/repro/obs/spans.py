@@ -155,6 +155,9 @@ class SpanTracker:
         self.enabled = True
         #: All spans ever opened, in open order (bounded; see max_spans).
         self.spans: List[Span] = []
+        #: Spans opened and not yet closed (``len(open_spans())``
+        #: without the scan).
+        self.open_count = 0
         #: Spans discarded to honour ``max_spans`` (soak bounding).
         self.dropped = 0
         #: Retention bound; when exceeded, the oldest *closed* half is
@@ -205,6 +208,7 @@ class SpanTracker:
             attrs=dict(attrs),
         )
         self.spans.append(span)
+        self.open_count += 1
         for field, value in norm.items():
             self._open_by_key.setdefault((field, value), []).append(span)
         if self.max_spans is not None and len(self.spans) > self.max_spans:
@@ -221,6 +225,7 @@ class SpanTracker:
     def _close(self, span: Span, status: str) -> None:
         span.end = self._clock()
         span.status = status
+        self.open_count -= 1
         for field, value in span.keys.items():
             bucket = self._open_by_key.get((field, value))
             if bucket is None:
@@ -342,7 +347,13 @@ class SpanTracker:
         return [s for s in self.spans if s.parent_id is None]
 
     def clear(self) -> None:
+        """Forget every span.  A span still open is detached: closing it
+        later stamps its end but no longer reaches this tracker."""
+        for span in self.spans:
+            if span.open:
+                span._tracker = SpanTracker(self._clock)
         self.spans.clear()
+        self.open_count = 0
         self._open_by_key.clear()
         self._learned.clear()
         self.dropped = 0

@@ -7,20 +7,18 @@ quantum-sized sim-time slices at full speed and the
 *between* slices, so pacing never enters the kernel and a seeded run
 stays byte-identical to its batch twin.  Each slice publishes an atomic
 telemetry view that :class:`~repro.serve.httpd.TelemetryServer` serves
-over ``/metrics``, ``/status`` and ``/alerts``, while the
-:class:`~repro.serve.alerts.AlertManager` drives SLO rules through a
-live pending/firing/resolved lifecycle.
+over ``/metrics``, ``/status``, ``/alerts`` and ``/incidents``.  The
+run's one :class:`~repro.obs.slo.SloWatchdog` folds each series bucket
+once: it judges the ``--slo`` rules at shutdown and steps the
+``--alert`` rules through a live pending/firing/resolved lifecycle.
 """
 
-from repro.serve.alerts import Alert, AlertManager
 from repro.serve.httpd import TelemetryServer
 from repro.serve.loop import ServeLoop
 from repro.serve.pacer import Pacer
 from repro.serve.state import ServeState
 
 __all__ = [
-    "Alert",
-    "AlertManager",
     "Pacer",
     "ServeLoop",
     "ServeState",

@@ -33,9 +33,10 @@ from repro.core.workload import (
     build_classic_population,
     build_population,
 )
-from repro.obs import ObsSession
+from repro.faults import FaultPlan, apply_faults
+from repro.obs import ObsSession, WatchedRun
+from repro.obs.session import add_obs_flags, checked_text, positive_int
 from repro.obs.slo import parse_slo_rules
-from repro.serve.alerts import AlertManager
 from repro.serve.httpd import TelemetryServer
 from repro.serve.loop import ServeLoop
 from repro.serve.pacer import Pacer
@@ -107,6 +108,7 @@ def make_parser() -> argparse.ArgumentParser:
                       default="fluid",
                       help="voice media model when --talk (default: fluid)")
     topo.add_argument("--faults", metavar="PLAN",
+                      type=checked_text(FaultPlan.parse),
                       help="fault plan ('at T link A--B down for D', "
                            "';'-separated, @FILE, or JSON) injected into "
                            "the live topology; sim-time scheduled, so the "
@@ -122,52 +124,21 @@ def make_parser() -> argparse.ArgumentParser:
                       help="run the loop without the HTTP endpoint "
                            "(batch comparator / CI)")
     live.add_argument("--alert", metavar="RULES",
+                      type=checked_text(parse_slo_rules),
                       help="alert rules (SLO grammar, ';'-separated, or "
                            "@FILE) driven through the live "
                            "pending/firing/resolved lifecycle")
-    live.add_argument("--alert-for", type=int, default=2, metavar="N",
+    live.add_argument("--alert-for", type=positive_int, default=2,
+                      metavar="N",
                       help="consecutive bad buckets before an alert fires "
                            "(default: 2)")
-    live.add_argument("--alert-clear", type=int, default=2, metavar="N",
+    live.add_argument("--alert-clear", type=positive_int, default=2,
+                      metavar="N",
                       help="consecutive good buckets before a firing alert "
                            "resolves (default: 2)")
 
-    obs = parser.add_argument_group("observability artefacts")
-    obs.add_argument("--trace-out", metavar="FILE",
-                     help="write a JSONL trace (spans + events) to FILE")
-    obs.add_argument("--metrics-out", metavar="FILE",
-                     help="write the final Prometheus snapshot to FILE")
-    obs.add_argument("--series-out", metavar="FILE",
-                     help="write the metric time series (JSON) to FILE")
-    obs.add_argument("--series-interval", type=float, default=1.0,
-                     metavar="SECS",
-                     help="series bucket width — also the alert "
-                          "evaluation cadence (default: 1.0)")
-    obs.add_argument("--timeline-out", metavar="FILE",
-                     help="write a Chrome-trace-event timeline to FILE")
-    obs.add_argument("--heartbeat", type=float, default=None, metavar="SECS",
-                     help="print a progress line to stderr every SECS "
-                          "simulated seconds")
-    obs.add_argument("--profile", action="store_true",
-                     help="profile the run with cProfile and print "
-                          "per-package self-time shares")
-    obs.add_argument("--slo", metavar="RULES",
-                     help="SLO rules judged with batch (sticky-fail) "
-                          "semantics at shutdown, alongside the live "
-                          "--alert lifecycle")
-    obs.add_argument("--incident-dir", metavar="DIR",
-                     help="write flight-recorder incident bundles "
-                          "(captured when an alert leaves ok, a fault "
-                          "fires, or the exit code is nonzero) to DIR "
-                          "for 'python -m repro analyze'")
+    add_obs_flags(parser.add_argument_group("observability artefacts"))
     return parser
-
-
-def _read_rules(text: Optional[str]) -> Optional[str]:
-    if text and text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
-    return text
 
 
 def build_profile(args: argparse.Namespace) -> DiurnalProfile:
@@ -197,7 +168,9 @@ class ServeRun:
     nw: Any
     workload: OpenLoopWorkload
     obs: ObsSession
-    alerts: Optional[AlertManager]
+    #: The served simulator's record: recorder, sampler and the one
+    #: watchdog judging both ``--slo`` and ``--alert`` rules.
+    watched: WatchedRun
     state: ServeState
     loop: ServeLoop
 
@@ -213,6 +186,11 @@ def build_serve_run(
     """Build topology, population, workload, observability and loop —
     shared by the CLI and the batch-comparator integration tests, so a
     paced service and its unpaced twin run the identical pipeline."""
+    # Rule sets parse before any topology is built.
+    obs = ObsSession.from_args(
+        args, force_series=True, alert=args.alert,
+        alert_for=args.alert_for, alert_clear=args.alert_clear,
+    )
     if args.topology == "classic":
         from repro.core.baseline_gsm import build_classic_roaming_network
 
@@ -240,42 +218,16 @@ def build_serve_run(
         classic=args.topology == "classic",
     )
 
-    obs = ObsSession(
-        trace_out=args.trace_out,
-        metrics_out=args.metrics_out,
-        profile=args.profile,
-        heartbeat=args.heartbeat,
-        series_out=args.series_out,
-        series_interval=args.series_interval,
-        timeline_out=args.timeline_out,
-        slo=_read_rules(args.slo),
-        force_series=True,
-        incident_dir=getattr(args, "incident_dir", None),
-    )
     obs.heartbeat_extra = workload.progress_line
     watched = obs.watch(nw.sim, run="serve")
-
-    fault_text = _read_rules(getattr(args, "faults", None))
-    if fault_text:
-        from repro.faults import apply_faults
-
+    if watched.watchdog is not None:
+        watched.watchdog.log = echo
+    if args.faults:
         # Armed after watch() so the recorder sees FAULT_PLAN_ARMED and
         # can embed the plan in incident bundles.  Registration advanced
         # sim time past 0; the injector clamps already-past plan times
         # to "now", so short plans still fire.
-        apply_faults(nw, fault_text)
-
-    alerts: Optional[AlertManager] = None
-    alert_text = _read_rules(args.alert)
-    if alert_text:
-        assert watched.sampler is not None  # force_series guarantees one
-        alerts = AlertManager(
-            parse_slo_rules(alert_text),
-            for_windows=args.alert_for,
-            clear_windows=args.alert_clear,
-            log=echo,
-        ).attach(watched.sampler)
-        watched.recorder.attach_alerts(alerts)
+        apply_faults(nw, args.faults)
 
     state = ServeState()
     loop = ServeLoop(
@@ -283,13 +235,12 @@ def build_serve_run(
         workload=workload,
         pacer=Pacer(rate=args.rate),
         state=state,
-        alerts=alerts,
-        recorder=watched.recorder,
+        watched=watched,
         duration=args.duration,
         quantum=args.quantum,
         drain_timeout=args.drain_timeout,
     )
-    return ServeRun(nw=nw, workload=workload, obs=obs, alerts=alerts,
+    return ServeRun(nw=nw, workload=workload, obs=obs, watched=watched,
                     state=state, loop=loop)
 
 
@@ -299,9 +250,11 @@ def finish_serve_run(
     """Flush artefacts and fold SLO/alert/drain verdicts into the exit
     code (module docstring semantics)."""
     obs_code = run.obs.finish(echo)
-    alert_code = run.alerts.exit_code() if run.alerts is not None else 0
-    if run.alerts is not None:
-        payload = run.alerts.to_payload()
+    dog = run.watched.watchdog
+    alert_code = 0
+    if dog is not None and dog.alerts:
+        alert_code = dog.alert_exit_code()
+        payload = dog.alert_payload()
         echo(
             f"alerts: {payload['transition_count']} transition(s); "
             + ", ".join(

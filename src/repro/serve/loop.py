@@ -25,9 +25,10 @@ never leaks into the simulation.)
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
-from repro.serve.alerts import AlertManager
+from repro.obs.recorder import FlightRecorder
+from repro.obs.session import WatchedRun
 from repro.serve.pacer import Pacer
 from repro.serve.state import ServeState
 
@@ -41,8 +42,7 @@ class ServeLoop:
         workload: Any,
         pacer: Pacer,
         state: Optional[ServeState] = None,
-        alerts: Optional[AlertManager] = None,
-        recorder: Optional[Any] = None,
+        watched: Optional[WatchedRun] = None,
         duration: Optional[float] = None,
         quantum: float = 0.25,
         drain_timeout: float = 60.0,
@@ -58,10 +58,9 @@ class ServeLoop:
         self.workload = workload
         self.pacer = pacer
         self.state = state if state is not None else ServeState()
-        self.alerts = alerts
-        #: Flight recorder armed on ``sim`` (duck-typed: anything with
-        #: ``flush``/``bundles``/``last_trigger``/``to_payload``).
-        self.recorder = recorder
+        #: ``sim``'s :class:`~repro.obs.session.WatchedRun`: its flight
+        #: recorder feeds ``/incidents``, its watchdog ``/alerts``.
+        self.watched = watched
         self.duration = duration
         self.quantum = quantum
         self.drain_timeout = drain_timeout
@@ -72,6 +71,10 @@ class ServeLoop:
         self._hard_stop = False
         self._last_wall = 0.0
         self._last_events = 0
+
+    @property
+    def recorder(self) -> Optional[FlightRecorder]:
+        return self.watched.recorder if self.watched is not None else None
 
     # ------------------------------------------------------------------
     # Control (signal-handler safe: only sets flags)
@@ -148,13 +151,17 @@ class ServeLoop:
             "event_rate": event_rate,
             "pending_events": sim.pending_events,
             "active_calls": self.workload.active,
-            "open_spans": len(sim.spans.open_spans()),
+            "open_spans": sim.spans.open_count,
             "workload": self.workload.progress_line(),
         }
-        incidents = None
-        if self.recorder is not None:
-            status["incidents_captured"] = len(self.recorder.bundles)
-            status["last_incident"] = self.recorder.last_trigger()
-            incidents = self.recorder.to_payload()
-        alerts = self.alerts.to_payload() if self.alerts is not None else None
+        incidents: Optional[Dict[str, Any]] = None
+        alerts: Optional[Dict[str, Any]] = None
+        if self.watched is not None:
+            recorder = self.watched.recorder
+            status["incidents_captured"] = len(recorder.bundles)
+            status["last_incident"] = recorder.last_trigger()
+            incidents = recorder.to_payload()
+            dog = self.watched.watchdog
+            if dog is not None and dog.alerts:
+                alerts = dog.alert_payload()
         self.state.publish(sim.metrics.snapshot(), status, alerts, incidents)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.core import scenarios
 from repro.core.network import build_vgprs_network
 from repro.obs.session import ObsSession
@@ -240,3 +241,63 @@ class TestCli:
     def test_bad_rule_raises_before_any_run(self):
         with pytest.raises(SloError):
             ObsSession(slo="broken rule")
+
+
+class TestCliUsageErrors:
+    """Bad rule, hysteresis, ``@FILE`` and fault-plan input is an
+    argparse usage error (exit 2), raised while the arguments parse:
+    no topology is ever built."""
+
+    @pytest.fixture(autouse=True)
+    def no_topology(self, monkeypatch):
+        def boom(*_args, **_kwargs):
+            raise AssertionError("topology built before input was checked")
+
+        monkeypatch.setattr("repro.core.network.build_vgprs_network", boom)
+
+    def usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}:" in err
+        return err
+
+    def test_call_bad_slo_rule(self, capsys):
+        err = self.usage_error(capsys, ["call", "--slo", "bad rule"], "--slo")
+        assert "needs a 'name:' prefix" in err
+
+    def test_serve_bad_alert_rule(self, capsys):
+        err = self.usage_error(
+            capsys, ["serve", "--alert", "x total(a) <= 1"], "--alert"
+        )
+        assert "needs a 'name:' prefix" in err
+
+    def test_serve_zero_alert_for(self, capsys):
+        err = self.usage_error(
+            capsys, ["serve", "--alert-for", "0"], "--alert-for"
+        )
+        assert "must be >= 1" in err
+
+    def test_missing_slo_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.slo"
+        err = self.usage_error(
+            capsys, ["call", "--slo", f"@{missing}"], "--slo"
+        )
+        assert "No such file" in err
+
+    def test_serve_bad_fault_plan(self, capsys):
+        err = self.usage_error(
+            capsys, ["serve", "--faults", "sometime link A--B down"],
+            "--faults",
+        )
+        assert "must start with 'at' or 'from'" in err
+
+    def test_at_file_is_read_once(self, tmp_path):
+        # The checked text is the file's content; a rule file whose
+        # content starts with '@' is not read again as a path.
+        from repro.obs.session import checked_text
+
+        path = tmp_path / "rules.slo"
+        path.write_text("@x: total(a) <= 1\n")
+        assert checked_text(parse_slo_rules)(f"@{path}") == "@x: total(a) <= 1\n"

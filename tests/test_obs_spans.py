@@ -130,6 +130,33 @@ class TestSpanTracker:
         assert tracker.dropped > 0
         assert keep_open in tracker.spans  # open spans survive trimming
 
+    def test_open_count_matches_open_spans(self):
+        tracker, _, _ = self.make()
+
+        def check():
+            assert tracker.open_count == len(tracker.open_spans())
+
+        outer = tracker.open("call", keys={"imsi": 1})
+        check()
+        inner = tracker.open("setup", keys={"imsi": 1})
+        inner.bind("call_ref", 7)
+        check()
+        inner.close()
+        inner.close()  # a double close counts once
+        check()
+        tracker.enabled = False
+        assert tracker.open("call", keys={"imsi": 2}) is NULL_SPAN
+        NULL_SPAN.close()
+        check()
+        tracker.enabled = True
+        tracker.open("release", keys={"imsi": 1})
+        assert tracker.open_count == 2
+        tracker.clear()
+        check()
+        outer.close()  # opened before clear(): detached, not counted
+        assert not outer.open
+        check()
+
     def test_queries(self):
         tracker, _, _ = self.make()
         a = tracker.open("call", keys={"imsi": 1})

@@ -26,8 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.slo import parse_slo_rules
-from repro.serve.alerts import AlertManager
+from repro.obs.slo import SloWatchdog, parse_slo_rules
 from repro.serve.cli import (
     build_serve_run,
     finish_serve_run,
@@ -111,45 +110,50 @@ def bucket(t, **counters):
 
 
 class TestAlertManager:
-    def make(self, rule="leak: delta(c) <= 1", **kwargs):
-        return AlertManager(parse_slo_rules(rule), **kwargs)
+    """The alert lifecycle of :class:`SloWatchdog` (the class name
+    predates the merge of the alert engine into the watchdog)."""
+
+    def make(self, rule="leak: delta(c) <= 1", log=None, **kwargs):
+        dog = SloWatchdog([], alert_rules=parse_slo_rules(rule), **kwargs)
+        dog.log = log
+        return dog
 
     def test_full_lifecycle_and_exit_code(self):
-        mgr = self.make(for_windows=2, clear_windows=2)
+        dog = self.make(for_windows=2, clear_windows=2)
         for b in (bucket(1.0, c=1), bucket(2.0, c=5), bucket(3.0, c=5),
                   bucket(4.0, c=1), bucket(5.0, c=0)):
-            mgr.observe_bucket(b)
-        states = [t["to"] for t in mgr.transitions]
+            dog.push(b)
+        states = [t["to"] for t in dog.transitions]
         assert states == ["pending", "firing", "resolved"]
-        assert mgr.alerts[0].fired_count == 1
-        assert mgr.ever_fired
-        assert mgr.exit_code() == 2
+        assert dog.alerts[0].fired_count == 1
+        assert dog.ever_fired
+        assert dog.alert_exit_code() == 2
 
     def test_pending_recovery_never_fires(self):
-        mgr = self.make(for_windows=3)
+        dog = self.make(for_windows=3)
         for b in (bucket(1.0, c=5), bucket(2.0, c=0), bucket(3.0, c=0)):
-            mgr.observe_bucket(b)
-        states = [t["to"] for t in mgr.transitions]
+            dog.push(b)
+        states = [t["to"] for t in dog.transitions]
         assert states == ["pending", "ok"]
-        assert not mgr.ever_fired
-        assert mgr.exit_code() == 0
+        assert not dog.ever_fired
+        assert dog.alert_exit_code() == 0
 
     def test_firing_at_exit_is_code_one(self):
-        mgr = self.make(for_windows=1)
-        mgr.observe_bucket(bucket(1.0, c=9))
-        assert mgr.alerts[0].state == "firing"
-        assert mgr.exit_code() == 1
+        dog = self.make(for_windows=1)
+        dog.push(bucket(1.0, c=9))
+        assert dog.alerts[0].state == "firing"
+        assert dog.alert_exit_code() == 1
 
     def test_transitions_are_logged(self):
         lines = []
-        mgr = self.make(for_windows=1, log=lines.append)
-        mgr.observe_bucket(bucket(1.0, c=9))
+        dog = self.make(for_windows=1, log=lines.append)
+        dog.push(bucket(1.0, c=9))
         assert any("pending -> firing" in line for line in lines)
 
     def test_payload_shape(self):
-        mgr = self.make()
-        mgr.observe_bucket(bucket(1.0, c=9))
-        payload = mgr.to_payload()
+        dog = self.make()
+        dog.push(bucket(1.0, c=9))
+        payload = dog.alert_payload()
         (alert,) = payload["alerts"]
         assert alert["name"] == "leak"
         assert alert["state"] == "pending"
@@ -212,13 +216,21 @@ class TestEndpoint:
 # ----------------------------------------------------------------------
 # Integration: the full serve pipeline
 # ----------------------------------------------------------------------
+ALERT_ARGS = [
+    "--alert", "rereg: delta(openloop.reregistrations) <= 0",
+    "--alert-for", "1", "--alert-clear", "2",
+]
 BASE_ARGS = [
     "--no-http", "--pairs", "3", "--seed", "23",
     "--calls-per-hour", "900", "--duration", "25",
     "--avalanche-at", "10", "--avalanche-spread", "1.5",
-    "--alert", "rereg: delta(openloop.reregistrations) <= 0",
-    "--alert-for", "1", "--alert-clear", "2",
-]
+] + ALERT_ARGS
+#: Passing SLO rules: one cumulative, one windowed, and one that shares
+#: its name with the alert rule (the two rule sets are separate name
+#: spaces).
+BOTH_SLO = ("trunks: total(*.international_seizures) <= 0; "
+            "busy: delta(openloop.reregistrations) <= 100; "
+            "rereg: total(openloop.reregistrations) >= 1")
 
 
 def run_pipeline(extra):
@@ -231,7 +243,7 @@ def run_pipeline(extra):
 class TestServeIntegration:
     def test_alert_fires_and_resolves_then_drains(self):
         run, echoes = run_pipeline(["--rate", "0", "--quantum", "0.5"])
-        states = [t["to"] for t in run.alerts.transitions]
+        states = [t["to"] for t in run.watched.watchdog.transitions]
         assert "firing" in states and "resolved" in states
         assert run.loop.drained
         assert run.workload.active == 0
@@ -322,6 +334,56 @@ class TestServeIntegration:
         bundle = json.loads(files[0].read_text())
         assert bundle["incident"] == 1
         assert bundle["fault_plan"][0]["link"] == "GK--IPNET"
+
+    def test_slo_and_alert_share_one_watchdog(self, tmp_path):
+        no_alert = BASE_ARGS[:-len(ALERT_ARGS)]
+        common = ["--rate", "0", "--quantum", "0.5",
+                  "--faults", "at 12 link GK--IPNET down for 4"]
+
+        def served(name, extra):
+            inc_dir = tmp_path / name
+            echoes = []
+            run = build_serve_run(
+                serve_args(no_alert + common + extra
+                           + ["--incident-dir", str(inc_dir)]),
+                echo=echoes.append,
+            )
+            run.loop.run()
+            code = finish_serve_run(run, echo=echoes.append)
+            bundles = [f.read_text()
+                       for f in sorted(inc_dir.glob("incident-*.json"))]
+            return run, echoes, code, bundles
+
+        slo_only = served("a", ["--slo", BOTH_SLO])
+        alert_only = served("b", ALERT_ARGS)
+        both = served("c", ["--slo", BOTH_SLO] + ALERT_ARGS)
+        (a_run, a_echo, a_code, a_bundles) = slo_only
+        (b_run, b_echo, b_code, b_bundles) = alert_only
+        (c_run, c_echo, c_code, c_bundles) = both
+        assert (a_code, b_code, c_code) == (0, 2, 2)
+
+        def slo_report(echoes):
+            (report,) = [e for e in echoes if e.startswith("SLO [")]
+            return report
+
+        def alert_lines(echoes):
+            return [e for e in echoes if e.startswith("[alert]")]
+
+        assert "3 rule(s), all passed" in slo_report(c_echo)
+        assert slo_report(c_echo) == slo_report(a_echo)
+        b_dog, c_dog = b_run.watched.watchdog, c_run.watched.watchdog
+        assert c_dog.transitions and c_dog.transitions == b_dog.transitions
+        assert alert_lines(c_echo) and alert_lines(c_echo) == alert_lines(b_echo)
+        assert c_run.state.alerts_json() == b_run.state.alerts_json()
+        assert (a_run.state.render_metrics() == b_run.state.render_metrics()
+                == c_run.state.render_metrics())
+        # A has no alert rule, so no alert-triggered capture; with the
+        # alert rule the bundles match whether or not --slo rides along.
+        assert b_bundles and c_bundles == b_bundles
+        # One rule subscriber folds each bucket for both rule sets.
+        sampler = c_run.watched.sampler
+        assert sampler.on_bucket == [c_run.watched.recorder._on_bucket,
+                                     c_dog.push]
 
     def test_sigterm_drains_gracefully(self):
         env = dict(os.environ)
