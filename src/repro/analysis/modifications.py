@@ -127,9 +127,15 @@ def _same_gprs_classes() -> bool:
 
 
 def _vmsc_uses_standard_ras() -> bool:
+    """The VMSC builds its RAS with the client every H.323 endpoint
+    uses, and that client emits the standard RAS message classes."""
     import inspect
 
     from repro.core import vmsc as vmsc_module
+    from repro.h323.endpoint import RasClient
 
     src = inspect.getsource(vmsc_module)
-    return "RasRrq(" in src and "RasArq(" in src and "RasDrq(" in src
+    ras = inspect.getsource(RasClient)
+    return "RasClient()" in src and all(
+        f"{name}(" in ras for name in ("RasRrq", "RasArq", "RasDrq")
+    )

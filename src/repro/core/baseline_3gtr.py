@@ -28,14 +28,14 @@ from repro.gprs.pdp import NSAPI_SIGNALLING
 from repro.gprs.sgsn import Sgsn
 from repro.gsm.bsc import Bsc
 from repro.gsm.bts import Bts
+from repro.h323.codec import GSM_FR
+from repro.h323.endpoint import H323Call, H323Endpoint
 from repro.h323.gatekeeper import Gatekeeper
 from repro.h323.terminal import H323Terminal
 from repro.net.interfaces import Interface
 from repro.net.ip import IPCloud
 from repro.net.node import Network, Node, handles
-from repro.net.transactions import Sequencer
 from repro.sim.kernel import Simulator
-from repro.sim.process import spawn
 from repro.packets.base import Packet
 from repro.packets.gmm import (
     ActivatePdpContextAccept,
@@ -51,46 +51,26 @@ from repro.packets.gmm import (
     RoutingAreaUpdateAccept,
     RoutingAreaUpdateRequest,
 )
-from repro.packets.ip import IPv4, PORT_H225_CS, PORT_H225_RAS, PORT_RTP, TCPLite, UDP
-from repro.packets.q931 import (
-    CAUSE_NORMAL_CLEARING,
-    Q931Alerting,
-    Q931CallProceeding,
-    Q931Connect,
-    Q931ReleaseComplete,
-    Q931Setup,
-)
-from repro.packets.ras import (
-    RasAcf,
-    RasArj,
-    RasArq,
-    RasDcf,
-    RasDrq,
-    RasRcf,
-    RasRrq,
-)
-from repro.packets.rtp import PT_GSM, RtpPacket
+from repro.packets.ip import IPv4
+from repro.packets.ras import RasRcf
 
 #: Static PDP address pool for 3G TR handsets.
 STATIC_IP_BASE = IPv4Address.parse("10.2.0.0")
 
 
-@dataclass
-class _H323MsCall:
-    call_ref: int
-    direction: str
-    state: str = "pdp"
-    remote_alias: Optional[E164Number] = None
-    remote_signal: Optional[Tuple[IPv4Address, int]] = None
-    remote_media: Optional[Tuple[IPv4Address, int]] = None
-    dialled_at: float = 0.0
-    alerting_at: Optional[float] = None
-    connected_at: Optional[float] = None
-    rtp_seq: int = 0
+class H323MobileStation(H323Endpoint):
+    """An H.323-terminal-capable GPRS handset (the MS 3G TR requires).
 
+    Its H.323 side is the shared :class:`~repro.h323.endpoint.H323Endpoint`
+    with the GSM-FR vocoder; its link to the IP world is the GPRS packet
+    radio, so every datagram rides a GbUnitdata frame on the signalling
+    context and the voice talker queues on the serving cell's shared
+    packet channel.
+    """
 
-class H323MobileStation(Node):
-    """An H.323-terminal-capable GPRS handset (the MS 3G TR requires)."""
+    endpoint_type = "3gtr-ms"
+    codec = GSM_FR
+    reports_duration = False
 
     def __init__(
         self,
@@ -103,33 +83,23 @@ class H323MobileStation(Node):
         gk_ip: IPv4Address,
         answer_delay: float = 1.0,
     ) -> None:
-        super().__init__(sim, name)
+        super().__init__(sim, name, static_ip, msisdn, gk_ip, answer_delay)
         self.imsi = imsi
-        self.msisdn = msisdn
-        self.static_ip = static_ip
         self.serving_bts = serving_bts
-        self.gk_ip = gk_ip
-        self.answer_delay = answer_delay
         self.attached = False
         self.pdp_active = False
         self._pdp_deactivating = False
-        self.registered = False
         self.routing_area = "RA-1"
         self.state = "off"
-        self.call: Optional[_H323MsCall] = None
-        self._ras_seq = Sequencer()
         self._pdp_waiters: List[Callable[[], None]] = []
-        self._voice_proc = None
-        self._fluid_flow = None
-        self.frames_received = 0
-        self._last_rx_time: Optional[float] = None
-        # Histogram handles, resolved lazily on first observation so the
-        # registry's contents match runs that never receive a frame.
-        self._m2e_hist = None
-        self._jitter_hist = None
-        self.on_registered: Optional[Callable[[], None]] = None
-        self.on_connected: Optional[Callable[[], None]] = None
-        self.on_released: Optional[Callable[[], None]] = None
+
+    @property
+    def msisdn(self) -> E164Number:
+        return self.alias
+
+    @property
+    def static_ip(self) -> IPv4Address:
+        return self.ip
 
     # ------------------------------------------------------------------
     # GPRS plumbing (everything rides the shared packet channel)
@@ -137,33 +107,23 @@ class H323MobileStation(Node):
     def _tx(self, packet: Packet) -> None:
         self.send(self.serving_bts, packet)
 
-    def _wrap_h323(
-        self, message: Packet, dst: IPv4Address, dport: int, sport: int,
-        tcp: bool = False,
-    ) -> Packet:
-        transport = (
-            TCPLite(sport=sport, dport=dport) if tcp else UDP(sport=sport, dport=dport)
-        )
+    def _uplink(self) -> str:
+        return self.serving_bts
+
+    def _frame(self, datagram: IPv4) -> Packet:
         frame = GbUnitdata(imsi=self.imsi, nsapi=NSAPI_SIGNALLING)
-        frame.payload = IPv4(src=self.static_ip, dst=dst) / transport / message
+        frame.payload = datagram
         return frame
 
-    def _send_h323(
-        self, message: Packet, dst: IPv4Address, dport: int, sport: int,
-        tcp: bool = False,
-    ) -> None:
-        self._tx(self._wrap_h323(message, dst, dport, sport, tcp))
+    def attach_to_cloud(self) -> None:
+        """Nothing to attach: the GGSN routes the static PDP address,
+        provisioned when the handset joined the network."""
 
     @handles(GbUnitdata)
     def on_gb(self, frame: GbUnitdata, src: Node, interface: str) -> None:
         packet = frame.payload
-        if not isinstance(packet, IPv4):
-            return
-        inner = packet.payload
-        while isinstance(inner, (UDP, TCPLite)):
-            inner = inner.payload
-        if inner is not None:
-            self._on_h323(inner)
+        if isinstance(packet, IPv4):
+            self.deliver_ip(packet, src, interface)
 
     # ------------------------------------------------------------------
     # Attach + registration (3G TR: deactivate the context afterwards)
@@ -178,21 +138,15 @@ class H323MobileStation(Node):
     def on_attach_accept(self, msg: GprsAttachAccept, src: Node, interface: str) -> None:
         self.attached = True
         self.state = "registering"
-        self._with_pdp(self._send_rrq)
+        self._with_pdp(self.register)
 
-    def _send_rrq(self) -> None:
-        self._send_h323(
-            RasRrq(
-                seq=self._ras_seq.next(),
-                alias=self.msisdn,
-                signal_address=self.static_ip,
-                signal_port=PORT_H225_CS,
-                endpoint_type="3gtr-ms",
-            ),
-            dst=self.gk_ip,
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
+    def on_rcf(self, msg: RasRcf, src: Node, interface: str) -> None:
+        if self.registered:
+            return
+        self.state = "idle"
+        # 3G TR fig. 7 step 6: deactivate after registration.
+        self._deactivate_pdp()
+        super().on_rcf(msg, src, interface)
 
     # ------------------------------------------------------------------
     # PDP context lifecycle (activated per use, 3G TR style)
@@ -284,322 +238,38 @@ class H323MobileStation(Node):
     # ------------------------------------------------------------------
     def place_call(self, called: Union[E164Number, str]) -> None:
         called = as_e164(called)
-        if self.state != "idle" or self.call is not None:
+        if self.state != "idle" or self.calls:
             raise CallSetupError(f"{self.name}: busy ({self.state})")
-        call = _H323MsCall(
-            call_ref=self.sim.call_refs.next(),
-            direction="out",
-            remote_alias=called,
-            dialled_at=self.sim.now,
-        )
-        self.call = call
+        call = self._place(called)
         self.state = "calling"
         # 3G TR MO: PDP activation precedes admission.
-        self._with_pdp(lambda: self._send_arq(call))
+        self._with_pdp(lambda: self._admit(call))
 
-    def _send_arq(self, call: _H323MsCall) -> None:
-        call.state = "admission"
-        self._send_h323(
-            RasArq(
-                seq=self._ras_seq.next(),
-                call_ref=call.call_ref,
-                endpoint_alias=self.msisdn,
-                called_alias=call.remote_alias,
-                answer_call=0,
-            ),
-            dst=self.gk_ip,
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
+    def _busy(self) -> bool:
+        return bool(self.calls)
 
-    def hangup(self) -> None:
-        call = self.call
-        if call is None:
-            raise CallSetupError(f"{self.name}: no active call")
-        self.stop_talking()
-        if call.remote_signal is not None:
-            self._send_h323(
-                Q931ReleaseComplete(
-                    call_ref=call.call_ref, cause=CAUSE_NORMAL_CLEARING
-                ),
-                dst=call.remote_signal[0],
-                dport=call.remote_signal[1],
-                sport=PORT_H225_CS,
-                tcp=True,
-            )
-        self._finish_release(call)
+    def _opened(self, call: H323Call) -> None:
+        if call.direction == "in":
+            self.state = "ringing"
 
-    def _finish_release(self, call: _H323MsCall) -> None:
-        self._send_h323(
-            RasDrq(
-                seq=self._ras_seq.next(),
-                call_ref=call.call_ref,
-                endpoint_alias=self.msisdn,
-            ),
-            dst=self.gk_ip,
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
-        self.call = None
+    def _connected(self, call: H323Call) -> None:
+        self.state = "in-call"
+        super()._connected(call)
+
+    def _rejected(self, call: H323Call) -> None:
+        self.sim.metrics.counter(f"{self.name}.call_rejects").inc()
+        self._disengage(call)
+
+    def _cleared(self, call: H323Call) -> None:
         self.state = "idle"
         # 3G TR: the context is torn down again after the call.  A short
         # grace period lets the release signalling drain through the
         # still-active context first.
         self.sim.schedule(0.5, self._deactivate_if_idle)
-        if self.on_released is not None:
-            self.on_released()
 
     def _deactivate_if_idle(self) -> None:
-        if self.call is None and self.state == "idle":
+        if not self.calls and self.state == "idle":
             self._deactivate_pdp()
-
-    # ------------------------------------------------------------------
-    # H.323 message handling
-    # ------------------------------------------------------------------
-    def _on_h323(self, message: Packet) -> None:
-        call = self.call
-        if isinstance(message, RasRcf):
-            if not self.registered:
-                self.registered = True
-                self.state = "idle"
-                # 3G TR fig. 7 step 6: deactivate after registration.
-                self._deactivate_pdp()
-                if self.on_registered is not None:
-                    self.on_registered()
-        elif isinstance(message, RasAcf):
-            if call is None:
-                return
-            if call.direction == "out" and call.state == "admission":
-                if message.dest_signal_address is None:
-                    self._finish_release(call)
-                    return
-                call.remote_signal = (
-                    message.dest_signal_address,
-                    message.dest_signal_port or PORT_H225_CS,
-                )
-                call.state = "setup-sent"
-                self._send_h323(
-                    Q931Setup(
-                        call_ref=call.call_ref,
-                        called=call.remote_alias,
-                        calling=self.msisdn,
-                        signal_address=self.static_ip,
-                        signal_port=PORT_H225_CS,
-                        media_address=self.static_ip,
-                        media_port=PORT_RTP,
-                    ),
-                    dst=call.remote_signal[0],
-                    dport=call.remote_signal[1],
-                    sport=PORT_H225_CS,
-                    tcp=True,
-                )
-            elif call.direction == "in" and call.state == "admission":
-                call.state = "ringing"
-                call.alerting_at = self.sim.now
-                self._send_q931(call, Q931Alerting(call_ref=call.call_ref))
-                self.sim.schedule(self.answer_delay, self._answer, call.call_ref)
-        elif isinstance(message, RasArj):
-            if call is not None:
-                self.sim.metrics.counter(f"{self.name}.call_rejects").inc()
-                self._finish_release(call)
-        elif isinstance(message, Q931Setup):
-            self._on_incoming_setup(message)
-        elif isinstance(message, Q931CallProceeding):
-            pass
-        elif isinstance(message, Q931Alerting):
-            if call is not None:
-                call.alerting_at = self.sim.now
-                call.state = "alerting"
-        elif isinstance(message, Q931Connect):
-            if call is not None:
-                call.remote_media = (message.media_address, message.media_port)
-                call.connected_at = self.sim.now
-                call.state = "in-call"
-                self.state = "in-call"
-                if self.on_connected is not None:
-                    self.on_connected()
-        elif isinstance(message, Q931ReleaseComplete):
-            if call is not None:
-                self.stop_talking()
-                self._finish_release(call)
-        elif isinstance(message, RtpPacket):
-            self._on_rtp(message)
-        elif isinstance(message, (RasDcf,)):
-            pass
-
-    def _on_incoming_setup(self, msg: Q931Setup) -> None:
-        if self.call is not None:
-            self._send_h323(
-                Q931ReleaseComplete(call_ref=msg.call_ref, cause=17),
-                dst=msg.signal_address,
-                dport=msg.signal_port,
-                sport=PORT_H225_CS,
-                tcp=True,
-            )
-            return
-        call = _H323MsCall(
-            call_ref=msg.call_ref,
-            direction="in",
-            state="admission",
-            remote_alias=msg.calling,
-            remote_signal=(msg.signal_address, msg.signal_port),
-            remote_media=(msg.media_address, msg.media_port),
-            dialled_at=self.sim.now,
-        )
-        self.call = call
-        self.state = "ringing"
-        self._send_q931(call, Q931CallProceeding(call_ref=call.call_ref))
-        self._send_h323(
-            RasArq(
-                seq=self._ras_seq.next(),
-                call_ref=call.call_ref,
-                endpoint_alias=self.msisdn,
-                answer_call=1,
-            ),
-            dst=self.gk_ip,
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
-
-    def _answer(self, call_ref: int) -> None:
-        call = self.call
-        if call is None or call.call_ref != call_ref or call.state != "ringing":
-            return
-        call.state = "in-call"
-        call.connected_at = self.sim.now
-        self.state = "in-call"
-        self._send_q931(
-            call,
-            Q931Connect(
-                call_ref=call_ref,
-                media_address=self.static_ip,
-                media_port=PORT_RTP,
-            ),
-        )
-        if self.on_connected is not None:
-            self.on_connected()
-
-    def _send_q931(self, call: _H323MsCall, message: Packet) -> None:
-        assert call.remote_signal is not None
-        self._send_h323(
-            message,
-            dst=call.remote_signal[0],
-            dport=call.remote_signal[1],
-            sport=PORT_H225_CS,
-            tcp=True,
-        )
-
-    # ------------------------------------------------------------------
-    # Voice over the packet radio
-    # ------------------------------------------------------------------
-    def start_talking(self, frame_interval: float = 0.020, duration: Optional[float] = None) -> None:
-        if self.call is None or self.call.state != "in-call":
-            raise CallSetupError(f"{self.name}: start_talking outside a call")
-        self.stop_talking()
-        media = self.sim.media
-        if media is not None and duration is not None:
-            self._fluid_flow = self._start_fluid(
-                media, self.call, frame_interval, duration
-            )
-        else:
-            self._voice_proc = spawn(self.sim, self._talk(self.call, frame_interval, duration))
-
-    def _talk(self, call: _H323MsCall, interval: float, duration: Optional[float]):
-        started = self.sim.now
-        payload = b"\x00" * 33  # one GSM FR frame, reused for the spurt
-        while call.state == "in-call" and call.remote_media is not None:
-            if duration is not None and self.sim.now - started >= duration:
-                break
-            call.rtp_seq += 1
-            self._send_h323(
-                RtpPacket(
-                    payload_type=PT_GSM,
-                    seq=call.rtp_seq & 0xFFFF,
-                    timestamp=int(self.sim.now * 8000) & 0xFFFFFFFF,
-                    ssrc=call.call_ref & 0xFFFFFFFF,
-                    gen_time_us=int(self.sim.now * 1e6),
-                    frame=payload,
-                ),
-                dst=call.remote_media[0],
-                dport=call.remote_media[1],
-                sport=PORT_RTP,
-            )
-            yield interval
-
-    def _start_fluid(self, media, call: _H323MsCall, interval: float, duration: float):
-        """Register an analytic flow whose uplink rides the serving BTS's
-        shared packet channel, then send only the calibration probe
-        (frame 0) through the event path; see :mod:`repro.media.fluid`."""
-        now = self.sim.now
-        call.rtp_seq += 1
-        gen_us = int(now * 1e6)
-        probe = self._wrap_h323(
-            RtpPacket(
-                payload_type=PT_GSM,
-                seq=call.rtp_seq & 0xFFFF,
-                timestamp=int(now * 8000) & 0xFFFFFFFF,
-                ssrc=call.call_ref & 0xFFFFFFFF,
-                gen_time_us=gen_us,
-                frame=b"\x00" * 33,
-            ),
-            dst=call.remote_media[0],
-            dport=call.remote_media[1],
-            sport=PORT_RTP,
-        )
-        channel = None
-        delta = 0.0
-        service = 0.0
-        residual_busy = 0.0
-        link = self.link_to(self.serving_bts)
-        bts = link.peer_of(self)
-        bps = getattr(bts, "packet_channel_bps", None)
-        if bps:
-            # Every frame is the same wire size (fixed-width fields), so
-            # the probe's serialisation time holds for the whole spurt.
-            service = len(probe.build()) * 8 / bps
-            channel = media.channel(bts, "up", bps)
-            delta = link.latency
-            residual_busy = bts._pch_busy_until["up"]
-        flow = media.start_flow(
-            key=gen_us, start=now, interval=interval, duration=duration,
-            on_frames=self._fluid_frames_sent, channel=channel,
-            delta=delta, service=service, residual_busy=residual_busy,
-        )
-        self._tx(probe)
-        return flow
-
-    def _fluid_frames_sent(self, n: int) -> None:
-        if self.call is not None:
-            self.call.rtp_seq += n
-
-    def stop_talking(self) -> None:
-        if self._voice_proc is not None:
-            self._voice_proc.interrupt()
-            self._voice_proc = None
-        if self._fluid_flow is not None:
-            flow, self._fluid_flow = self._fluid_flow, None
-            self.sim.media.end_flow(flow)
-
-    def _on_rtp(self, packet: RtpPacket) -> None:
-        self.frames_received += 1
-        now = self.sim.now
-        m2e = self._m2e_hist
-        if m2e is None:
-            m2e = self._m2e_hist = self.sim.metrics.histogram(
-                f"{self.name}.mouth_to_ear"
-            )
-        m2e.observe(now - packet.gen_time_us / 1e6)
-        if self._last_rx_time is not None:
-            jit = self._jitter_hist
-            if jit is None:
-                jit = self._jitter_hist = self.sim.metrics.histogram(
-                    f"{self.name}.jitter"
-                )
-            jit.observe(abs((now - self._last_rx_time) - 0.020))
-        self._last_rx_time = now
-        media = self.sim.media
-        if media is not None:
-            media.on_frame(packet.gen_time_us, self)
 
 
 @dataclass

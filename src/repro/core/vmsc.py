@@ -31,7 +31,9 @@ from repro.gprs.gb import GbUnitdata
 from repro.gprs.pdp import NSAPI_SIGNALLING, NSAPI_VOICE
 from repro.gsm.msc_base import MscBase, RadioConn
 from repro.h323.codec import G711_ULAW, GSM_FR, Vocoder
+from repro.h323.endpoint import Address, RasClient
 from repro.net.interfaces import Interface
+from repro.net.iphost import IpReceiver, ip_datagram
 from repro.net.node import Node, handles
 from repro.net.transactions import ReliableTransaction, Sequencer
 from repro.packets.base import Packet
@@ -57,27 +59,19 @@ from repro.packets.gmm import (
     RequestPdpContextActivation,
 )
 from repro.sim.timers import Timer
-from repro.packets.ip import IPv4, PORT_H225_CS, PORT_H225_RAS, PORT_RTP, TCPLite, UDP
+from repro.packets.ip import IPv4, PORT_H225_CS, PORT_H225_RAS, PORT_RTP
 from repro.packets.map import MapUpdateLocationAreaAck
 from repro.packets.q931 import (
     CAUSE_NORMAL_CLEARING,
     CAUSE_RESOURCE_UNAVAILABLE,
+    CAUSE_USER_BUSY,
     Q931Alerting,
     Q931CallProceeding,
     Q931Connect,
     Q931ReleaseComplete,
     Q931Setup,
 )
-from repro.packets.ras import (
-    RasAcf,
-    RasArj,
-    RasArq,
-    RasDcf,
-    RasDrq,
-    RasRcf,
-    RasRrq,
-    RasUrq,
-)
+from repro.packets.ras import RasAcf, RasArj, RasDcf, RasRcf, RasUcf
 from repro.packets.rtp import PT_PCMU, RtpPacket
 
 
@@ -91,8 +85,8 @@ class VmscCall:
     state: str = "admission"
     called: Optional[E164Number] = None
     calling: Optional[E164Number] = None
-    remote_signal: Optional[Tuple[IPv4Address, int]] = None
-    remote_media: Optional[Tuple[IPv4Address, int]] = None
+    remote_signal: Optional[Address] = None
+    remote_media: Optional[Address] = None
     placed_at: float = 0.0
     connected_at: Optional[float] = None
     released_at: Optional[float] = None
@@ -117,7 +111,7 @@ class FallbackCall:
     connected_at: Optional[float] = None
 
 
-class Vmsc(MscBase):
+class Vmsc(MscBase, IpReceiver):
     """The VoIP mobile switching centre."""
 
     def __init__(
@@ -146,7 +140,8 @@ class Vmsc(MscBase):
         # the same GPRS network"), the two legs share one call reference.
         self.calls: Dict[Tuple[int, IMSI], VmscCall] = {}
         self._call_by_imsi: Dict[IMSI, VmscCall] = {}
-        self._ras_seq = Sequencer()
+        #: One RAS client for every MS this VMSC registers.
+        self.ras = RasClient()
         self.vocoder = Vocoder(GSM_FR, G711_ULAW)
         self._pending_lu: Dict[IMSI, Tuple[RadioConn, MapUpdateLocationAreaAck]] = {}
         #: Guard for steps 1.3-1.5: if GPRS/H.323 registration does not
@@ -191,8 +186,7 @@ class Vmsc(MscBase):
         self,
         entry: MsTableEntry,
         message: Packet,
-        dst: IPv4Address,
-        dport: int,
+        dst: Address,
         sport: int,
         tcp: bool = False,
         nsapi: int = NSAPI_SIGNALLING,
@@ -203,30 +197,33 @@ class Vmsc(MscBase):
         src_ip = entry.ip
         if src_ip is None:
             raise CallSetupError(f"{self.name}: no PDP address for {entry.imsi}")
-        transport = (
-            TCPLite(sport=sport, dport=dport) if tcp else UDP(sport=sport, dport=dport)
-        )
         frame = GbUnitdata(imsi=entry.imsi, nsapi=nsapi)
-        frame.payload = IPv4(src=src_ip, dst=dst) / transport / message
+        frame.payload = ip_datagram(src_ip, dst[0], message, dst[1], sport, tcp)
         self.send(self._sgsn(), frame)
+
+    def _to_gk(self, entry: MsTableEntry, message: Packet) -> None:
+        self._send_h323(entry, message, (self.gk_ip, PORT_H225_RAS), PORT_H225_RAS)
 
     @handles(GbUnitdata)
     def on_gb_unitdata(self, frame: GbUnitdata, src: Node, interface: str) -> None:
+        """Uplink H.323 for an MS: unwrap it and dispatch it through the
+        handler table, exactly as an IP host would."""
         packet = frame.payload
         if not isinstance(packet, IPv4):
             self.sim.metrics.counter(f"{self.name}.gb_non_ip").inc()
             return
-        entry = self.ms_table.by_ip(packet.dst)
-        if entry is None:
+        if self.ms_table.by_ip(packet.dst) is None:
             self.sim.metrics.counter(f"{self.name}.gb_unknown_ms").inc()
             return
-        inner = packet.payload
-        sport = 0
-        while isinstance(inner, (UDP, TCPLite)):
-            sport = inner.sport
-            inner = inner.payload
-        if inner is not None:
-            self._on_h323(entry, inner, packet, sport)
+        self.deliver_ip(packet, src, interface)
+
+    def _rx_entry(self) -> MsTableEntry:
+        """The MS whose PDP address the H.323 message being handled was
+        sent to (known to the table: :meth:`on_gb_unitdata` checked)."""
+        assert self.rx_ip is not None
+        entry = self.ms_table.by_ip(self.rx_ip.dst)
+        assert entry is not None
+        return entry
 
     # ------------------------------------------------------------------
     # Registration: steps 1.3 - 1.6
@@ -336,19 +333,8 @@ class Vmsc(MscBase):
         if entry.msisdn is None:
             self.sim.metrics.counter(f"{self.name}.no_msisdn").inc()
             return
-        self._send_h323(
-            entry,
-            RasRrq(
-                seq=self._ras_seq.next(),
-                alias=entry.msisdn,
-                signal_address=entry.ip,
-                signal_port=PORT_H225_CS,
-                endpoint_type="vgprs-ms",
-                ttl=self.gk_ttl,
-            ),
-            dst=self.gk_ip,
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
+        self._to_gk(
+            entry, self.ras.rrq(entry.msisdn, entry.ip, "vgprs-ms", ttl=self.gk_ttl)
         )
 
     def _arm_keepalive(self, entry: MsTableEntry) -> None:
@@ -430,9 +416,11 @@ class Vmsc(MscBase):
         self._gk_retries.pop(imsi, None)
         self.sim.trace.note(self.name, "GK_REREG_GAVE_UP", imsi=str(imsi))
 
-    def _on_rcf(self, entry: MsTableEntry, msg: RasRcf) -> None:
+    @handles(RasRcf)
+    def on_rcf(self, msg: RasRcf, src: Node, interface: str) -> None:
         # Step 1.5: "The VMSC then creates the MS MM and PDP contexts for
         # the MS and stores these contexts in its MS table."
+        entry = self._rx_entry()
         guard = self._lu_guards.get(entry.imsi)
         if guard is not None:
             guard.stop()
@@ -484,13 +472,7 @@ class Vmsc(MscBase):
                 interface=Interface.ISUP,
             )
         if entry.gk_registered and entry.msisdn is not None and entry.ip is not None:
-            self._send_h323(
-                entry,
-                RasUrq(seq=self._ras_seq.next(), alias=entry.msisdn),
-                dst=self.gk_ip,
-                dport=PORT_H225_RAS,
-                sport=PORT_H225_RAS,
-            )
+            self._to_gk(entry, self.ras.urq(entry.msisdn))
         entry.gk_registered = False
         keepalive = self._keepalive_timers.get(conn.imsi)
         if keepalive is not None:
@@ -613,18 +595,8 @@ class Vmsc(MscBase):
         if ms_call is not None:
             ms_call.bind("call_ref", call.call_ref)
         # Step 2.3: ARQ/ACF with the gatekeeper.
-        self._send_h323(
-            entry,
-            RasArq(
-                seq=self._ras_seq.next(),
-                call_ref=call.call_ref,
-                endpoint_alias=entry.msisdn,
-                called_alias=setup.called,
-                answer_call=0,
-            ),
-            dst=self.gk_ip,
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
+        self._to_gk(
+            entry, self.ras.arq(call.call_ref, entry.msisdn, called=setup.called)
         )
         self._arm_admission_guard(call)
 
@@ -671,7 +643,9 @@ class Vmsc(MscBase):
         else:
             self._release_call(call, cause=CAUSE_RESOURCE_UNAVAILABLE)
 
-    def _on_acf(self, entry: MsTableEntry, msg: RasAcf) -> None:
+    @handles(RasAcf)
+    def on_acf(self, msg: RasAcf, src: Node, interface: str) -> None:
+        entry = self._rx_entry()
         call = self.calls.get((msg.call_ref, entry.imsi))
         if call is None:
             return
@@ -687,8 +661,9 @@ class Vmsc(MscBase):
             )
             call.state = "setup-sent"
             # Step 2.4: Q.931 Setup to the destination through the GGSN.
-            self._send_h323(
+            self._send_q931(
                 entry,
+                call,
                 Q931Setup(
                     call_ref=call.call_ref,
                     called=call.called,
@@ -698,10 +673,6 @@ class Vmsc(MscBase):
                     media_address=entry.ip,
                     media_port=PORT_RTP,
                 ),
-                dst=call.remote_signal[0],
-                dport=call.remote_signal[1],
-                sport=PORT_H225_CS,
-                tcp=True,
             )
         elif call.direction == "mt" and call.state == "admission":
             # Step 4.3 done; step 4.4: page the MS.
@@ -712,8 +683,9 @@ class Vmsc(MscBase):
                 on_failed=lambda c: self._mt_page_failed(call, c),
             )
 
-    def _on_arj(self, entry: MsTableEntry, msg: RasArj) -> None:
-        call = self.calls.get((msg.call_ref, entry.imsi))
+    @handles(RasArj)
+    def on_arj(self, msg: RasArj, src: Node, interface: str) -> None:
+        call = self.calls.get((msg.call_ref, self._rx_entry().imsi))
         if call is None:
             return
         if call.admission_timer is not None:
@@ -729,17 +701,16 @@ class Vmsc(MscBase):
     # ------------------------------------------------------------------
     # MT call: steps 4.2 - 4.8
     # ------------------------------------------------------------------
-    def _on_mt_setup(
-        self, entry: MsTableEntry, msg: Q931Setup, ipv4: IPv4, sport: int
-    ) -> None:
+    @handles(Q931Setup)
+    def on_setup(self, msg: Q931Setup, src: Node, interface: str) -> None:
+        entry = self._rx_entry()
         if entry.imsi in self._call_by_imsi:
             # Busy: reject immediately.
             self._send_h323(
                 entry,
-                Q931ReleaseComplete(call_ref=msg.call_ref, cause=17),
-                dst=msg.signal_address,
-                dport=msg.signal_port,
-                sport=PORT_H225_CS,
+                Q931ReleaseComplete(call_ref=msg.call_ref, cause=CAUSE_USER_BUSY),
+                (msg.signal_address, msg.signal_port),
+                PORT_H225_CS,
                 tcp=True,
             )
             return
@@ -768,18 +739,7 @@ class Vmsc(MscBase):
         # Step 4.2 tail: Call Proceeding back to the calling party.
         self._send_q931(entry, call, Q931CallProceeding(call_ref=call.call_ref))
         # Step 4.3: the VMSC's own admission request.
-        self._send_h323(
-            entry,
-            RasArq(
-                seq=self._ras_seq.next(),
-                call_ref=call.call_ref,
-                endpoint_alias=entry.msisdn,
-                answer_call=1,
-            ),
-            dst=self.gk_ip,
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
+        self._to_gk(entry, self.ras.arq(call.call_ref, entry.msisdn, answer=True))
         self._arm_admission_guard(call)
 
     def _mt_radio_ready(self, call: VmscCall, conn: RadioConn) -> None:
@@ -821,20 +781,26 @@ class Vmsc(MscBase):
     # ------------------------------------------------------------------
     # Q.931 progress for MO calls
     # ------------------------------------------------------------------
-    def _on_call_proceeding(self, entry: MsTableEntry, msg: Q931CallProceeding) -> None:
-        call = self.calls.get((msg.call_ref, entry.imsi))
+    @handles(Q931CallProceeding)
+    def on_call_proceeding(
+        self, msg: Q931CallProceeding, src: Node, interface: str
+    ) -> None:
+        call = self.calls.get((msg.call_ref, self._rx_entry().imsi))
         if call is not None and call.state == "setup-sent":
             call.state = "proceeding"
 
-    def _on_alerting(self, entry: MsTableEntry, msg: Q931Alerting) -> None:
-        call = self.calls.get((msg.call_ref, entry.imsi))
+    @handles(Q931Alerting)
+    def on_alerting(self, msg: Q931Alerting, src: Node, interface: str) -> None:
+        call = self.calls.get((msg.call_ref, self._rx_entry().imsi))
         if call is None:
             return
         # Step 2.7: forward alerting down to the MS (ringback).
         conn = self.conn(call.imsi)
         self.send_alerting_to_ms(conn)
 
-    def _on_connect(self, entry: MsTableEntry, msg: Q931Connect) -> None:
+    @handles(Q931Connect)
+    def on_connect(self, msg: Q931Connect, src: Node, interface: str) -> None:
+        entry = self._rx_entry()
         call = self.calls.get((msg.call_ref, entry.imsi))
         if call is None:
             return
@@ -892,8 +858,12 @@ class Vmsc(MscBase):
         )
         self._finish_release(entry, call)
 
-    def _on_release_complete(self, entry: MsTableEntry, msg: Q931ReleaseComplete) -> None:
+    @handles(Q931ReleaseComplete)
+    def on_release_complete(
+        self, msg: Q931ReleaseComplete, src: Node, interface: str
+    ) -> None:
         """The far end released first (network-initiated clearing)."""
+        entry = self._rx_entry()
         call = self.calls.get((msg.call_ref, entry.imsi))
         if call is None:
             return
@@ -908,18 +878,7 @@ class Vmsc(MscBase):
         duration_ms = 0
         if call.connected_at is not None:
             duration_ms = int((self.sim.now - call.connected_at) * 1000)
-        self._send_h323(
-            entry,
-            RasDrq(
-                seq=self._ras_seq.next(),
-                call_ref=call.call_ref,
-                endpoint_alias=entry.msisdn,
-                duration_ms=duration_ms,
-            ),
-            dst=self.gk_ip,
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
+        self._to_gk(entry, self.ras.drq(call.call_ref, entry.msisdn, duration_ms))
         # Step 3.4: deactivate the voice PDP context.
         if entry.voice_ready or call.voice_pdp_pending:
             self.send(
@@ -1090,8 +1049,7 @@ class Vmsc(MscBase):
             self._send_h323,
             entry,
             rtp,
-            call.remote_media[0],
-            call.remote_media[1],
+            call.remote_media,
             PORT_RTP,
             False,
             NSAPI_VOICE,
@@ -1115,7 +1073,9 @@ class Vmsc(MscBase):
         )
         self.send_voice_to_ms(conn, tch)
 
-    def _on_rtp(self, entry: MsTableEntry, packet: RtpPacket) -> None:
+    @handles(RtpPacket)
+    def on_rtp(self, packet: RtpPacket, src: Node, interface: str) -> None:
+        entry = self._rx_entry()
         call = self._call_by_imsi.get(entry.imsi)
         if call is None:
             return
@@ -1133,44 +1093,16 @@ class Vmsc(MscBase):
         )
 
     # ------------------------------------------------------------------
-    # Inner H.323 dispatch
+    # Q.931 out, RAS confirmations in
     # ------------------------------------------------------------------
     def _send_q931(self, entry: MsTableEntry, call: VmscCall, message: Packet) -> None:
         assert call.remote_signal is not None
-        self._send_h323(
-            entry,
-            message,
-            dst=call.remote_signal[0],
-            dport=call.remote_signal[1],
-            sport=PORT_H225_CS,
-            tcp=True,
-        )
+        self._send_h323(entry, message, call.remote_signal, PORT_H225_CS, tcp=True)
 
-    def _on_h323(
-        self, entry: MsTableEntry, message: Packet, ipv4: IPv4, sport: int
-    ) -> None:
-        if isinstance(message, RasRcf):
-            self._on_rcf(entry, message)
-        elif isinstance(message, RasAcf):
-            self._on_acf(entry, message)
-        elif isinstance(message, RasArj):
-            self._on_arj(entry, message)
-        elif isinstance(message, RasDcf):
-            pass
-        elif isinstance(message, Q931Setup):
-            self._on_mt_setup(entry, message, ipv4, sport)
-        elif isinstance(message, Q931CallProceeding):
-            self._on_call_proceeding(entry, message)
-        elif isinstance(message, Q931Alerting):
-            self._on_alerting(entry, message)
-        elif isinstance(message, Q931Connect):
-            self._on_connect(entry, message)
-        elif isinstance(message, Q931ReleaseComplete):
-            self._on_release_complete(entry, message)
-        elif isinstance(message, RtpPacket):
-            self._on_rtp(entry, message)
-        else:
-            self.sim.metrics.counter(f"{self.name}.h323_unhandled").inc()
+    @handles(RasDcf, RasUcf)
+    def on_ras_confirm(self, msg: Packet, src: Node, interface: str) -> None:
+        """Disengage and unregistration confirms need no action: the
+        call and the registration were dropped when DRQ/URQ left."""
 
     # ------------------------------------------------------------------
     # Introspection for experiments

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional, Union
 from repro.errors import ProtocolError
 from repro.identities import IMSI, E164Number, as_e164
 from repro.gsm.security import a3_sres
+from repro.media.rx import RxStats
 from repro.net.node import Node, handles
 from repro.sim.process import Signal, spawn
 from repro.packets.bssap import (
@@ -105,12 +106,7 @@ class MobileStation(Node):
         self._fluid_flow = None
         self._voice_seq = 0
         self.frames_sent = 0
-        self.frames_received = 0
-        self._last_rx_time: Optional[float] = None
-        # Histogram handles, resolved lazily on first observation so the
-        # registry's contents match runs that never receive a frame.
-        self._m2e_hist = None
-        self._jitter_hist = None
+        self.rx = RxStats(sim, name)
         # Procedure spans (repro.obs.spans); opened/closed alongside the
         # state machine so a run renders as a per-call tree.
         self._reg_span = None
@@ -518,25 +514,10 @@ class MobileStation(Node):
             self._talk_span.close(status="ok")
             self._talk_span = None
 
+    @property
+    def frames_received(self) -> int:
+        return self.rx.frames
+
     @handles(TchFrame)
     def on_voice(self, frame: TchFrame, src: Node, interface: str) -> None:
-        self.frames_received += 1
-        now = self.sim.now
-        delay = now - frame.gen_time_us / 1e6
-        m2e = self._m2e_hist
-        if m2e is None:
-            m2e = self._m2e_hist = self.sim.metrics.histogram(
-                f"{self.name}.mouth_to_ear"
-            )
-        m2e.observe(delay)
-        if self._last_rx_time is not None:
-            jit = self._jitter_hist
-            if jit is None:
-                jit = self._jitter_hist = self.sim.metrics.histogram(
-                    f"{self.name}.jitter"
-                )
-            jit.observe(abs((now - self._last_rx_time) - 0.020))
-        self._last_rx_time = now
-        media = self.sim.media
-        if media is not None:
-            media.on_frame(frame.gen_time_us, self)
+        self.rx.on_frame(frame.gen_time_us)

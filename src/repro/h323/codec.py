@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.packets.rtp import PT_G729, PT_GSM, PT_PCMU
+
 
 @dataclass(frozen=True)
 class CodecSpec:
@@ -20,6 +22,8 @@ class CodecSpec:
     frame_ms: float
     frame_bytes: int
     algorithmic_delay_ms: float
+    #: Static RTP payload type (RFC 3551) the codec's frames travel as.
+    payload_type: int
 
     @property
     def bitrate_bps(self) -> float:
@@ -27,13 +31,22 @@ class CodecSpec:
 
 
 #: GSM 06.10 full rate: 13 kbit/s, 33-byte frames every 20 ms.
-GSM_FR = CodecSpec("GSM-FR", frame_ms=20.0, frame_bytes=33, algorithmic_delay_ms=5.0)
+GSM_FR = CodecSpec(
+    "GSM-FR", frame_ms=20.0, frame_bytes=33, algorithmic_delay_ms=5.0,
+    payload_type=PT_GSM,
+)
 
 #: G.711 mu-law: 64 kbit/s, 160-byte frames every 20 ms, negligible delay.
-G711_ULAW = CodecSpec("G.711u", frame_ms=20.0, frame_bytes=160, algorithmic_delay_ms=0.125)
+G711_ULAW = CodecSpec(
+    "G.711u", frame_ms=20.0, frame_bytes=160, algorithmic_delay_ms=0.125,
+    payload_type=PT_PCMU,
+)
 
 #: G.729: 8 kbit/s, 20-byte frames every 20 ms (two 10 ms subframes).
-G729 = CodecSpec("G.729", frame_ms=20.0, frame_bytes=20, algorithmic_delay_ms=15.0)
+G729 = CodecSpec(
+    "G.729", frame_ms=20.0, frame_bytes=20, algorithmic_delay_ms=15.0,
+    payload_type=PT_G729,
+)
 
 CODECS = {c.name: c for c in (GSM_FR, G711_ULAW, G729)}
 

@@ -10,19 +10,20 @@ falls back to the normal international PSTN route.
 The gateway also carries H.323-originated calls out to the PSTN (the
 paper's §4: "the called party can also be a traditional telephone set in
 the PSTN, which is connected indirectly ... through the H.323 network").
+Its H.323 side is the shared :class:`~repro.h323.endpoint.H323Endpoint`
+leg; this module bridges each leg to an ISUP circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.identities import E164Number, IPv4Address
 from repro.h323.codec import G711_ULAW, Vocoder
-from repro.net.iphost import IpHost
+from repro.h323.endpoint import H323Call, H323Endpoint
 from repro.net.node import Node, handles
 from repro.net.transactions import Sequencer
-from repro.packets.ip import PORT_H225_CS, PORT_H225_RAS, PORT_RTP
 from repro.packets.isup import (
     CAUSE_NO_ROUTE,
     CAUSE_NORMAL,
@@ -33,44 +34,25 @@ from repro.packets.isup import (
     IsupRlc,
     PcmFrame,
 )
-from repro.packets.q931 import (
-    CAUSE_NORMAL_CLEARING,
-    Q931Alerting,
-    Q931CallProceeding,
-    Q931Connect,
-    Q931ReleaseComplete,
-    Q931Setup,
-)
-from repro.packets.ras import (
-    RasAcf,
-    RasArj,
-    RasArq,
-    RasDcf,
-    RasDrq,
-    RasRcf,
-    RasRrq,
-)
+from repro.packets.q931 import Q931Alerting, Q931ReleaseComplete
 from repro.packets.rtp import PT_PCMU, RtpPacket
 
 
 @dataclass
-class GatewayCall:
-    """One bridged PSTN <-> H.323 call."""
+class GatewayCall(H323Call):
+    """One H.323 leg bridged to a PSTN circuit.  ``out`` legs come in
+    from the PSTN; ``in`` legs are dialled out to it once admitted."""
 
-    call_ref: int
-    cic: int
-    trunk_peer: str
-    direction: str                      # "pstn-to-ip" | "ip-to-pstn"
-    called: E164Number
-    calling: Optional[E164Number] = None
-    remote_signal: Optional[Tuple[IPv4Address, int]] = None
-    remote_media: Optional[Tuple[IPv4Address, int]] = None
-    state: str = "setup"
-    rtp_seq: int = 0
+    cic: int = 0
+    trunk_peer: str = ""
 
 
-class H323PstnGateway(IpHost):
+class H323PstnGateway(H323Endpoint):
     """A media gateway between the PSTN and the H.323 network."""
+
+    endpoint_type = "gateway"
+    reports_duration = False
+    call_type = GatewayCall
 
     def __init__(
         self,
@@ -80,40 +62,10 @@ class H323PstnGateway(IpHost):
         alias: E164Number,
         gk_ip: IPv4Address,
     ) -> None:
-        super().__init__(sim, name, ip)
-        self.alias = alias
-        self.gk_ip = gk_ip
-        self.registered = False
-        self._ras_seq = Sequencer()
+        super().__init__(sim, name, ip, alias, gk_ip)
         self._cic_seq = Sequencer(start=810001)
-        self.calls_by_ref: Dict[int, GatewayCall] = {}
         self.calls_by_cic: Dict[int, GatewayCall] = {}
         self.vocoder = Vocoder(G711_ULAW, G711_ULAW)
-
-    def _exchange(self) -> Node:
-        return self.peer("isup")
-
-    # ------------------------------------------------------------------
-    # RAS registration
-    # ------------------------------------------------------------------
-    def register(self) -> None:
-        self.attach_to_cloud()
-        self.send_ip(
-            self.gk_ip,
-            RasRrq(
-                seq=self._ras_seq.next(),
-                alias=self.alias,
-                signal_address=self.ip,
-                signal_port=PORT_H225_CS,
-                endpoint_type="gateway",
-            ),
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
-
-    @handles(RasRcf)
-    def on_rcf(self, msg: RasRcf, src: Node, interface: str) -> None:
-        self.registered = True
 
     # ------------------------------------------------------------------
     # PSTN -> H.323 (Figure 8)
@@ -121,212 +73,95 @@ class H323PstnGateway(IpHost):
     @handles(IsupIam)
     def on_iam(self, msg: IsupIam, src: Node, interface: str) -> None:
         call = GatewayCall(
-            call_ref=self.sim.call_refs.next(),
-            cic=msg.cic,
-            trunk_peer=src.name,
-            direction="pstn-to-ip",
+            self.sim.call_refs.next(),
+            "out",
             called=msg.called,
             calling=msg.calling,
+            cic=msg.cic,
+            trunk_peer=src.name,
         )
-        self.calls_by_ref[call.call_ref] = call
+        self.calls[call.call_ref] = call
         self.calls_by_cic[call.cic] = call
         # Figure 8 step 2: ask the gatekeeper whether the called party is
         # registered (i.e. roaming here).
-        self.send_ip(
-            self.gk_ip,
-            RasArq(
-                seq=self._ras_seq.next(),
-                call_ref=call.call_ref,
-                endpoint_alias=self.alias,
-                called_alias=msg.called,
-                answer_call=0,
-            ),
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
+        self._admit(call)
 
-    @handles(RasAcf)
-    def on_acf(self, msg: RasAcf, src: Node, interface: str) -> None:
-        call = self.calls_by_ref.get(msg.call_ref)
-        if call is None:
-            return
-        if call.direction == "pstn-to-ip" and call.state == "setup":
-            call.remote_signal = (
-                msg.dest_signal_address,
-                msg.dest_signal_port or PORT_H225_CS,
-            )
-            call.state = "setup-sent"
-            self.send_ip(
-                call.remote_signal[0],
-                Q931Setup(
-                    call_ref=call.call_ref,
-                    called=call.called,
-                    calling=call.calling,
-                    signal_address=self.ip,
-                    signal_port=PORT_H225_CS,
-                    media_address=self.ip,
-                    media_port=PORT_RTP,
-                ),
-                dport=call.remote_signal[1],
-                sport=PORT_H225_CS,
-                tcp=True,
-            )
-        elif call.direction == "ip-to-pstn" and call.state == "admission":
-            # Admission granted for the answer side: ring the PSTN leg.
-            call.state = "pstn-dialling"
-            call.cic = self._cic_seq.next()
-            self.calls_by_cic[call.cic] = call
-            self.send(
-                self._exchange(),
-                IsupIam(cic=call.cic, called=call.called, calling=call.calling),
-            )
-
-    @handles(RasArj)
-    def on_arj(self, msg: RasArj, src: Node, interface: str) -> None:
-        call = self.calls_by_ref.pop(msg.call_ref, None)
-        if call is None:
-            return
+    def _rejected(self, call: H323Call) -> None:
+        assert isinstance(call, GatewayCall)
+        self.calls.pop(call.call_ref, None)
         self.calls_by_cic.pop(call.cic, None)
         self.sim.metrics.counter(f"{self.name}.gk_misses").inc()
-        if call.direction == "pstn-to-ip":
+        if call.direction == "out":
             # Figure 8: "if x is not found in the GK, the GK will instruct
             # y to connect to the international telephone network as a
             # normal PSTN call" — release with a routing cause so the
             # exchange falls back to its next route.
-            self.send(
-                call.trunk_peer, IsupRel(cic=call.cic, cause=CAUSE_NO_ROUTE)
-            )
+            self.send(call.trunk_peer, IsupRel(cic=call.cic, cause=CAUSE_NO_ROUTE))
 
     # ------------------------------------------------------------------
     # H.323 -> PSTN
     # ------------------------------------------------------------------
-    @handles(Q931Setup)
-    def on_setup(self, msg: Q931Setup, src: Node, interface: str) -> None:
-        call = GatewayCall(
-            call_ref=msg.call_ref,
-            cic=0,
-            trunk_peer=self._exchange().name,
-            direction="ip-to-pstn",
-            called=msg.called,
-            calling=msg.calling,
-            remote_signal=(msg.signal_address, msg.signal_port),
-            remote_media=(msg.media_address, msg.media_port),
-            state="admission",
+    def _ring(self, call: H323Call) -> None:
+        """Admission granted for the answer side: ring the PSTN leg."""
+        assert isinstance(call, GatewayCall)
+        call.state = "ringing"
+        call.cic = self._cic_seq.next()
+        call.trunk_peer = self.peer("isup").name
+        self.calls_by_cic[call.cic] = call
+        self.send(
+            call.trunk_peer,
+            IsupIam(cic=call.cic, called=call.called, calling=call.calling),
         )
-        self.calls_by_ref[msg.call_ref] = call
-        self._send_q931(call, Q931CallProceeding(call_ref=msg.call_ref))
-        self.send_ip(
-            self.gk_ip,
-            RasArq(
-                seq=self._ras_seq.next(),
-                call_ref=msg.call_ref,
-                endpoint_alias=self.alias,
-                answer_call=1,
-            ),
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
-
-    # ------------------------------------------------------------------
-    # Call progress bridging
-    # ------------------------------------------------------------------
-    @handles(Q931CallProceeding)
-    def on_call_proceeding(self, msg: Q931CallProceeding, src: Node, interface: str) -> None:
-        pass
-
-    @handles(Q931Alerting)
-    def on_alerting(self, msg: Q931Alerting, src: Node, interface: str) -> None:
-        call = self.calls_by_ref.get(msg.call_ref)
-        if call is not None and call.direction == "pstn-to-ip":
-            self.send(call.trunk_peer, IsupAcm(cic=call.cic))
-
-    @handles(Q931Connect)
-    def on_connect(self, msg: Q931Connect, src: Node, interface: str) -> None:
-        call = self.calls_by_ref.get(msg.call_ref)
-        if call is None:
-            return
-        call.remote_media = (msg.media_address, msg.media_port)
-        call.state = "in-call"
-        if call.direction == "pstn-to-ip":
-            self.send(call.trunk_peer, IsupAnm(cic=call.cic))
 
     @handles(IsupAcm)
     def on_acm(self, msg: IsupAcm, src: Node, interface: str) -> None:
         call = self.calls_by_cic.get(msg.cic)
-        if call is not None and call.direction == "ip-to-pstn":
+        if call is not None and call.direction == "in":
             self._send_q931(call, Q931Alerting(call_ref=call.call_ref))
 
     @handles(IsupAnm)
     def on_anm(self, msg: IsupAnm, src: Node, interface: str) -> None:
         call = self.calls_by_cic.get(msg.cic)
-        if call is None or call.direction != "ip-to-pstn":
-            return
-        call.state = "in-call"
-        self._send_q931(
-            call,
-            Q931Connect(
-                call_ref=call.call_ref, media_address=self.ip, media_port=PORT_RTP
-            ),
-        )
+        if call is not None:
+            self._answer(call.call_ref)
 
     # ------------------------------------------------------------------
-    # Release bridging
+    # Call progress and release bridging
     # ------------------------------------------------------------------
+    def on_alerting(self, msg: Q931Alerting, src: Node, interface: str) -> None:
+        super().on_alerting(msg, src, interface)
+        call = self.calls.get(msg.call_ref)
+        if isinstance(call, GatewayCall) and call.direction == "out":
+            self.send(call.trunk_peer, IsupAcm(cic=call.cic))
+
+    def _connected(self, call: H323Call) -> None:
+        assert isinstance(call, GatewayCall)
+        if call.direction == "out":
+            self.send(call.trunk_peer, IsupAnm(cic=call.cic))
+        super()._connected(call)
+
     @handles(IsupRel)
     def on_rel(self, msg: IsupRel, src: Node, interface: str) -> None:
         self.send(src, IsupRlc(cic=msg.cic))
-        call = self.calls_by_cic.pop(msg.cic, None)
-        if call is None:
-            return
-        self.calls_by_ref.pop(call.call_ref, None)
-        if call.remote_signal is not None:
-            self._send_q931(
-                call,
-                Q931ReleaseComplete(
-                    call_ref=call.call_ref, cause=CAUSE_NORMAL_CLEARING
-                ),
-            )
-        self._disengage(call)
+        call = self.calls_by_cic.get(msg.cic)
+        if call is not None:
+            self.hangup(call.call_ref)
 
-    @handles(Q931ReleaseComplete)
-    def on_release_complete(self, msg: Q931ReleaseComplete, src: Node, interface: str) -> None:
-        call = self.calls_by_ref.pop(msg.call_ref, None)
-        if call is None:
-            return
-        self.calls_by_cic.pop(call.cic, None)
-        if call.cic:
+    def on_release_complete(
+        self, msg: Q931ReleaseComplete, src: Node, interface: str
+    ) -> None:
+        call = self.calls.get(msg.call_ref)
+        if isinstance(call, GatewayCall) and call.cic:
             self.send(call.trunk_peer, IsupRel(cic=call.cic, cause=CAUSE_NORMAL))
-        self._disengage(call)
+        super().on_release_complete(msg, src, interface)
 
-    def _disengage(self, call: GatewayCall) -> None:
-        self.send_ip(
-            self.gk_ip,
-            RasDrq(
-                seq=self._ras_seq.next(),
-                call_ref=call.call_ref,
-                endpoint_alias=self.alias,
-            ),
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
-
-    @handles(RasDcf)
-    def on_dcf(self, msg: RasDcf, src: Node, interface: str) -> None:
-        pass
+    def _cleared(self, call: H323Call) -> None:
+        assert isinstance(call, GatewayCall)
+        self.calls_by_cic.pop(call.cic, None)
 
     @handles(IsupRlc)
     def on_rlc(self, msg: IsupRlc, src: Node, interface: str) -> None:
         pass
-
-    def _send_q931(self, call: GatewayCall, message) -> None:
-        assert call.remote_signal is not None
-        self.send_ip(
-            call.remote_signal[0],
-            message,
-            dport=call.remote_signal[1],
-            sport=PORT_H225_CS,
-            tcp=True,
-        )
 
     # ------------------------------------------------------------------
     # Media bridging (PCM <-> RTP)
@@ -352,11 +187,10 @@ class H323PstnGateway(IpHost):
             call.remote_media[1],
         )
 
-    @handles(RtpPacket)
     def on_rtp(self, packet: RtpPacket, src: Node, interface: str) -> None:
         # Match by SSRC (the call reference).
-        call = self.calls_by_ref.get(packet.ssrc)
-        if call is None or call.state != "in-call" or not call.cic:
+        call = self.calls.get(packet.ssrc)
+        if not isinstance(call, GatewayCall) or call.state != "in-call" or not call.cic:
             return
         self.sim.schedule(
             self.vocoder.transcode_delay,

@@ -4,500 +4,46 @@ The called party of Figure 5 and the calling party of Figure 6: a plain
 IP host speaking RAS to the gatekeeper and Q.931 call signalling + RTP
 media to its peers.  The terminal neither knows nor cares that the far
 end is a VMSC acting for a GSM handset — which is the point of the
-paper's design.
+paper's design.  RAS, the call leg and the G.711 talker are the shared
+:class:`~repro.h323.endpoint.H323Endpoint`; the terminal adds its
+per-call spans and counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Union
 
-from repro.errors import CallSetupError, ProtocolError
-from repro.identities import E164Number, IPv4Address, as_e164
-from repro.net.iphost import IpHost
-from repro.net.node import Node, handles
-from repro.net.transactions import Sequencer
-from repro.sim.process import Signal, spawn
-from repro.packets.ip import PORT_H225_CS, PORT_H225_RAS, PORT_RTP
-from repro.packets.q931 import (
-    CAUSE_CALL_REJECTED,
-    CAUSE_NORMAL_CLEARING,
-    Q931Alerting,
-    Q931CallProceeding,
-    Q931Connect,
-    Q931ReleaseComplete,
-    Q931Setup,
-)
-from repro.packets.ras import (
-    RasAcf,
-    RasArj,
-    RasArq,
-    RasDcf,
-    RasDrq,
-    RasRcf,
-    RasRrq,
-    RasUcf,
-)
-from repro.packets.rtp import PT_PCMU, RtpPacket
+from repro.errors import CallSetupError
+from repro.h323.endpoint import H323Call, H323Endpoint
+from repro.identities import E164Number, as_e164
 
 
-@dataclass
-class TerminalCall:
-    """Per-call state at the terminal."""
-
-    call_ref: int
-    direction: str                       # "out" | "in"
-    state: str = "idle"
-    remote_alias: Optional[E164Number] = None
-    remote_signal: Optional[Tuple[IPv4Address, int]] = None
-    remote_media: Optional[Tuple[IPv4Address, int]] = None
-    alerting_at: Optional[float] = None
-    connected_at: Optional[float] = None
-    released_at: Optional[float] = None
-    placed_at: Optional[float] = None
-    span: Optional[object] = None         # repro.obs.spans.Span
-    setup_span: Optional[object] = None
-
-
-class H323Terminal(IpHost):
+class H323Terminal(H323Endpoint):
     """A standard H.323 terminal."""
 
-    def __init__(
-        self,
-        sim,
-        name: str,
-        ip: IPv4Address,
-        alias: E164Number,
-        gk_ip: IPv4Address,
-        answer_delay: float = 1.0,
-    ) -> None:
-        super().__init__(sim, name, ip)
-        self.alias = alias
-        self.gk_ip = gk_ip
-        self.answer_delay = answer_delay
-        self.registered = False
-        self.calls: Dict[int, TerminalCall] = {}
-        #: Fired after any per-call state change (admission, ringing,
-        #: connect, release, removal); workloads block on this instead
-        #: of polling ``calls``.
-        self.calls_changed = Signal(f"{name}.calls")
-        self._ras_seq = Sequencer()
-        self._voice_procs: Dict[int, object] = {}
-        self._fluid_flows: Dict[int, object] = {}
-        self._voice_seq = 0
-        self.frames_received = 0
-        self._last_rx_time: Optional[float] = None
-        # Histogram handles, resolved lazily on first observation so the
-        # registry's contents match runs that never receive a frame.
-        self._m2e_hist = None
-        self._jitter_hist = None
-        self.on_registered: Optional[Callable[[], None]] = None
-        self.on_incoming: Optional[Callable[[TerminalCall], None]] = None
-        self.on_connected: Optional[Callable[[TerminalCall], None]] = None
-        self.on_released: Optional[Callable[[TerminalCall], None]] = None
-        self.on_rejected: Optional[Callable[[TerminalCall], None]] = None
+    #: RTP sequence number, continued across the terminal's calls.
+    rtp_seq = 0
 
-    # ------------------------------------------------------------------
-    # RAS
-    # ------------------------------------------------------------------
-    def register(self) -> None:
-        """Register the alias with the gatekeeper."""
-        self.attach_to_cloud()
-        self.send_ip(
-            self.gk_ip,
-            RasRrq(
-                seq=self._ras_seq.next(),
-                alias=self.alias,
-                signal_address=self.ip,
-                signal_port=PORT_H225_CS,
-                endpoint_type="terminal",
-            ),
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
-
-    @handles(RasRcf)
-    def on_rcf(self, msg: RasRcf, src: Node, interface: str) -> None:
-        self.registered = True
-        if self.on_registered is not None:
-            self.on_registered()
-
-    @handles(RasUcf)
-    def on_ucf(self, msg: RasUcf, src: Node, interface: str) -> None:
-        self.registered = False
-
-    # ------------------------------------------------------------------
-    # Outgoing call
-    # ------------------------------------------------------------------
     def place_call(self, called: Union[E164Number, str]) -> int:
         """ARQ the gatekeeper, then Q.931 Setup to the resolved address."""
         called = as_e164(called)
         if not self.registered:
             raise CallSetupError(f"{self.name}: not registered with the gatekeeper")
-        call_ref = self.sim.call_refs.next()
-        call = TerminalCall(
-            call_ref=call_ref,
-            direction="out",
-            state="admission",
-            remote_alias=called,
-            placed_at=self.sim.now,
-        )
-        # Keyed by call_ref only (not alias): the terminal's alias is in
-        # every RAS exchange it makes, and keying on it would steal
-        # entries from concurrent calls.
-        call.span = self.sim.spans.open(
-            "call",
-            keys={"call_ref": call_ref},
-            node=self.name,
-            direction="out",
-            called=str(called),
-        )
-        call.setup_span = self.sim.spans.open(
-            "setup", keys={"call_ref": call_ref}, parent=call.span
-        )
-        self.calls[call_ref] = call
-        self.send_ip(
-            self.gk_ip,
-            RasArq(
-                seq=self._ras_seq.next(),
-                call_ref=call_ref,
-                endpoint_alias=self.alias,
-                called_alias=called,
-                answer_call=0,
-            ),
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
-        return call_ref
+        call = self._place(called)
+        self._admit(call)
+        return call.call_ref
 
-    @handles(RasAcf)
-    def on_acf(self, msg: RasAcf, src: Node, interface: str) -> None:
-        call = self.calls.get(msg.call_ref)
-        if call is None:
-            return
-        if call.direction == "out" and call.state == "admission":
-            if msg.dest_signal_address is None:
-                self._fail_call(call, CAUSE_CALL_REJECTED)
-                return
-            call.remote_signal = (msg.dest_signal_address, msg.dest_signal_port or PORT_H225_CS)
-            call.state = "setup-sent"
-            self.calls_changed.fire()
-            self.send_ip(
-                call.remote_signal[0],
-                Q931Setup(
-                    call_ref=call.call_ref,
-                    called=call.remote_alias,
-                    calling=self.alias,
-                    signal_address=self.ip,
-                    signal_port=PORT_H225_CS,
-                    media_address=self.ip,
-                    media_port=PORT_RTP,
-                ),
-                dport=call.remote_signal[1],
-                sport=PORT_H225_CS,
-                tcp=True,
-            )
-        elif call.direction == "in" and call.state == "admission":
-            # Step 2.5 (answer side admitted): alert the user.
-            call.state = "ringing"
-            call.alerting_at = self.sim.now
-            self.calls_changed.fire()
-            self._send_q931(call, Q931Alerting(call_ref=call.call_ref))
-            self.sim.schedule(self.answer_delay, self._answer, call.call_ref)
-
-    @handles(RasArj)
-    def on_arj(self, msg: RasArj, src: Node, interface: str) -> None:
-        call = self.calls.get(msg.call_ref)
-        if call is None:
-            return
-        # "It is possible that an RAS ARJ message is received by the
-        # terminal and the call is released" (step 2.5).
-        if call.direction == "in":
-            self._send_q931(
-                call, Q931ReleaseComplete(call_ref=call.call_ref, cause=CAUSE_CALL_REJECTED)
-            )
-        self._fail_call(call, CAUSE_CALL_REJECTED)
-
-    def _fail_call(self, call: TerminalCall, cause: int) -> None:
-        call.state = "released"
-        call.released_at = self.sim.now
-        if call.setup_span is not None:
-            call.setup_span.close(status="rejected")
-        if call.span is not None:
-            call.span.attrs["cause"] = cause
-            call.span.close(status="rejected")
-        self.calls.pop(call.call_ref, None)
-        self.calls_changed.fire()
-        self.sim.metrics.counter(f"{self.name}.calls_failed").inc()
-        if self.on_rejected is not None:
-            self.on_rejected(call)
-
-    # ------------------------------------------------------------------
-    # Incoming call
-    # ------------------------------------------------------------------
-    @handles(Q931Setup)
-    def on_setup(self, msg: Q931Setup, src: Node, interface: str) -> None:
-        remote_ip, remote_port = self.rx_reply_addr()
-        call = TerminalCall(
-            call_ref=msg.call_ref,
-            direction="in",
-            state="admission",
-            remote_alias=msg.calling,
-            remote_signal=(msg.signal_address, msg.signal_port),
-            remote_media=(msg.media_address, msg.media_port),
-        )
-        # Auto-parents to the caller's span via the shared call_ref, so
-        # an MO call renders MS -> VMSC leg -> terminal as one tree.
-        call.span = self.sim.spans.open(
-            "call",
-            keys={"call_ref": msg.call_ref},
-            node=self.name,
-            direction="in",
-            calling=str(msg.calling) if msg.calling is not None else None,
-        )
-        call.setup_span = self.sim.spans.open(
-            "setup", keys={"call_ref": msg.call_ref}, parent=call.span
-        )
-        self.calls[msg.call_ref] = call
-        self.calls_changed.fire()
-        # Step 2.4: Call Proceeding back to the caller.
-        self._send_q931(call, Q931CallProceeding(call_ref=msg.call_ref))
-        # Step 2.5: the called terminal's own admission request.
-        self.send_ip(
-            self.gk_ip,
-            RasArq(
-                seq=self._ras_seq.next(),
-                call_ref=msg.call_ref,
-                endpoint_alias=self.alias,
-                answer_call=1,
-            ),
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
-        if self.on_incoming is not None:
-            self.on_incoming(call)
-
-    def _answer(self, call_ref: int) -> None:
-        call = self.calls.get(call_ref)
-        if call is None or call.state != "ringing":
-            return
-        call.state = "in-call"
-        call.connected_at = self.sim.now
-        if call.setup_span is not None:
-            call.setup_span.close(status="ok")
-            call.setup_span = None
-        self.calls_changed.fire()
-        self._send_q931(
-            call,
-            Q931Connect(
-                call_ref=call_ref, media_address=self.ip, media_port=PORT_RTP
-            ),
-        )
-        self.sim.metrics.counter(f"{self.name}.calls_connected").inc()
-        if self.on_connected is not None:
-            self.on_connected(call)
-
-    # ------------------------------------------------------------------
-    # Call progress (caller side)
-    # ------------------------------------------------------------------
-    @handles(Q931CallProceeding)
-    def on_call_proceeding(self, msg: Q931CallProceeding, src: Node, interface: str) -> None:
-        call = self.calls.get(msg.call_ref)
-        if call is not None and call.state == "setup-sent":
-            call.state = "proceeding"
-            self.calls_changed.fire()
-
-    @handles(Q931Alerting)
-    def on_alerting(self, msg: Q931Alerting, src: Node, interface: str) -> None:
-        call = self.calls.get(msg.call_ref)
-        if call is not None:
-            call.state = "alerting"
-            call.alerting_at = self.sim.now
-            self.calls_changed.fire()
-
-    @handles(Q931Connect)
-    def on_connect(self, msg: Q931Connect, src: Node, interface: str) -> None:
-        call = self.calls.get(msg.call_ref)
-        if call is None:
-            return
-        call.state = "in-call"
-        call.connected_at = self.sim.now
-        call.remote_media = (msg.media_address, msg.media_port)
-        if call.setup_span is not None:
-            if call.placed_at is not None:
-                call.setup_span.attrs["setup_delay"] = self.sim.now - call.placed_at
-            call.setup_span.close(status="ok")
-            call.setup_span = None
-        self.calls_changed.fire()
-        self.sim.metrics.counter(f"{self.name}.calls_connected").inc()
-        if self.on_connected is not None:
-            self.on_connected(call)
-
-    # ------------------------------------------------------------------
-    # Release (steps 3.1-3.3, terminal half)
-    # ------------------------------------------------------------------
-    def hangup(self, call_ref: int) -> None:
-        call = self.calls.get(call_ref)
-        if call is None:
-            raise ProtocolError(f"{self.name}: unknown call {call_ref}")
-        self.stop_talking(call_ref)
-        self._send_q931(
-            call, Q931ReleaseComplete(call_ref=call_ref, cause=CAUSE_NORMAL_CLEARING)
-        )
-        self._disengage(call)
-
-    @handles(Q931ReleaseComplete)
-    def on_release_complete(self, msg: Q931ReleaseComplete, src: Node, interface: str) -> None:
-        call = self.calls.get(msg.call_ref)
-        if call is None:
-            return
-        self.stop_talking(msg.call_ref)
-        self._disengage(call)
-        if self.on_released is not None:
-            self.on_released(call)
-
-    def _disengage(self, call: TerminalCall) -> None:
-        call.state = "released"
-        call.released_at = self.sim.now
-        duration_ms = 0
-        if call.connected_at is not None:
-            duration_ms = int((self.sim.now - call.connected_at) * 1000)
-        # Step 3.3: both endpoints inform the GK of call completion.
-        self.send_ip(
-            self.gk_ip,
-            RasDrq(
-                seq=self._ras_seq.next(),
-                call_ref=call.call_ref,
-                endpoint_alias=self.alias,
-                duration_ms=duration_ms,
-            ),
-            dport=PORT_H225_RAS,
-            sport=PORT_H225_RAS,
-        )
-        if call.setup_span is not None:
-            call.setup_span.close(status="ok")
-            call.setup_span = None
-        if call.span is not None:
-            call.span.attrs["duration_ms"] = duration_ms
-            call.span.close(status="ok")
-        self.calls.pop(call.call_ref, None)
-        self.calls_changed.fire()
-
-    @handles(RasDcf)
-    def on_dcf(self, msg: RasDcf, src: Node, interface: str) -> None:
-        pass
-
-    def _send_q931(self, call: TerminalCall, message) -> None:
-        if call.remote_signal is None:
-            raise ProtocolError(f"{self.name}: no signalling address for call")
-        self.send_ip(
-            call.remote_signal[0],
-            message,
-            dport=call.remote_signal[1],
-            sport=PORT_H225_CS,
-            tcp=True,
-        )
-
-    # ------------------------------------------------------------------
-    # Media
-    # ------------------------------------------------------------------
-    def start_talking(
-        self,
-        call_ref: int,
-        frame_interval: float = 0.020,
-        duration: Optional[float] = None,
-    ) -> None:
-        call = self.calls.get(call_ref)
-        if call is None or call.state != "in-call":
-            raise ProtocolError(f"{self.name}: start_talking outside a call")
-        self.stop_talking(call_ref)
-        media = self.sim.media
-        if media is not None and duration is not None:
-            self._fluid_flows[call_ref] = self._start_fluid(
-                media, call, frame_interval, duration
-            )
+    def _opened(self, call: H323Call) -> None:
+        if call.direction == "out":
+            self._open_spans(call, called=str(call.called))
         else:
-            self._voice_procs[call_ref] = spawn(
-                self.sim, self._talk(call, frame_interval, duration)
+            self._open_spans(
+                call, calling=str(call.calling) if call.calling is not None else None
             )
 
-    def _talk(self, call: TerminalCall, interval: float, duration: Optional[float]):
-        started = self.sim.now
-        payload = b"\x00" * 160  # one G.711 frame, reused for the spurt
-        while call.state == "in-call" and call.remote_media is not None:
-            if duration is not None and self.sim.now - started >= duration:
-                break
-            self._voice_seq += 1
-            self.send_ip(
-                call.remote_media[0],
-                RtpPacket(
-                    payload_type=PT_PCMU,
-                    seq=self._voice_seq & 0xFFFF,
-                    timestamp=int(self.sim.now * 8000) & 0xFFFFFFFF,
-                    ssrc=call.call_ref & 0xFFFFFFFF,
-                    gen_time_us=int(self.sim.now * 1e6),
-                    frame=payload,
-                ),
-                dport=call.remote_media[1],
-                sport=PORT_RTP,
-            )
-            yield interval
+    def _connected(self, call: H323Call) -> None:
+        self.sim.metrics.counter(f"{self.name}.calls_connected").inc()
+        super()._connected(call)
 
-    def _start_fluid(self, media, call: TerminalCall, interval: float, duration: float):
-        """Register an analytic flow and send only the calibration probe
-        (frame 0) through the event path; see :mod:`repro.media.fluid`."""
-        now = self.sim.now
-        self._voice_seq += 1
-        gen_us = int(now * 1e6)
-        flow = media.start_flow(
-            key=gen_us, start=now, interval=interval, duration=duration,
-            on_frames=self._fluid_frames_sent,
-        )
-        self.send_ip(
-            call.remote_media[0],
-            RtpPacket(
-                payload_type=PT_PCMU,
-                seq=self._voice_seq & 0xFFFF,
-                timestamp=int(now * 8000) & 0xFFFFFFFF,
-                ssrc=call.call_ref & 0xFFFFFFFF,
-                gen_time_us=gen_us,
-                frame=b"\x00" * 160,
-            ),
-            dport=call.remote_media[1],
-            sport=PORT_RTP,
-        )
-        return flow
-
-    def _fluid_frames_sent(self, n: int) -> None:
-        self._voice_seq += n
-
-    def stop_talking(self, call_ref: int) -> None:
-        proc = self._voice_procs.pop(call_ref, None)
-        if proc is not None:
-            proc.interrupt()
-        flow = self._fluid_flows.pop(call_ref, None)
-        if flow is not None:
-            self.sim.media.end_flow(flow)
-
-    @handles(RtpPacket)
-    def on_rtp(self, packet: RtpPacket, src: Node, interface: str) -> None:
-        self.frames_received += 1
-        now = self.sim.now
-        delay = now - packet.gen_time_us / 1e6
-        m2e = self._m2e_hist
-        if m2e is None:
-            m2e = self._m2e_hist = self.sim.metrics.histogram(
-                f"{self.name}.mouth_to_ear"
-            )
-        m2e.observe(delay)
-        if self._last_rx_time is not None:
-            jit = self._jitter_hist
-            if jit is None:
-                jit = self._jitter_hist = self.sim.metrics.histogram(
-                    f"{self.name}.jitter"
-                )
-            jit.observe(abs((now - self._last_rx_time) - 0.020))
-        self._last_rx_time = now
-        media = self.sim.media
-        if media is not None:
-            media.on_frame(packet.gen_time_us, self)
+    def _rtp_stream(self, call: H323Call) -> "H323Terminal":
+        return self

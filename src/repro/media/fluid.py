@@ -36,8 +36,8 @@ this for the whole package).
 
 Assumptions (documented in EXPERIMENTS.md): the constant part of the
 path delay does not change during a spurt (no mid-spurt handoff), and
-receivers apply the codec's nominal 20 ms spacing when computing jitter,
-mirroring the hard-coded constant in the event-path receivers.
+receivers apply the codec's nominal 20 ms spacing when computing jitter
+(:data:`repro.media.rx.NOMINAL_SPACING`, shared with the event path).
 """
 
 from __future__ import annotations
@@ -45,16 +45,13 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.media.rx import NOMINAL_SPACING, RxStats
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
     from repro.sim.kernel import Simulator
 
 __all__ = ["FluidChannel", "FluidFlow", "FluidMediaSession", "install_fluid"]
-
-#: Nominal inter-frame spacing the event-path receivers subtract when
-#: observing jitter (hard-coded ``0.020`` in every ``on_rtp``/
-#: ``on_voice``); mirrored here so fluid jitter samples match.
-NOMINAL_SPACING = 0.020
 
 
 class _ChannelFlow:
@@ -189,7 +186,7 @@ class FluidFlow:
         self.on_frames = on_frames
         self.channel = channel
         self.cflow = cflow
-        self.receiver: Optional[object] = None
+        self.receiver: Optional[RxStats] = None
         self.probe_arrival: Optional[float] = None
         self.flushed = False
         self.pending_flush = False
@@ -276,7 +273,7 @@ class FluidMediaSession:
     # ------------------------------------------------------------------
     # Receiver side
     # ------------------------------------------------------------------
-    def on_frame(self, key: int, receiver: object) -> None:
+    def on_frame(self, key: int, receiver: RxStats) -> None:
         """Called by media receivers for every frame they observe; pairs
         calibration probes with their flows.  Frames that are not
         pending probes (event-path traffic) fall through untouched."""
@@ -351,7 +348,7 @@ class FluidMediaSession:
             else:
                 tail.append((arrival, delay, jitter))
         if imm_delays:
-            self._observe(flow.receiver, imm_delays, imm_jitters, imm_last)
+            flow.receiver.observe_many(imm_delays, imm_jitters, imm_last)
         if tail:
             self.sim.schedule_at(max(tail[0][0], now), self._drain, flow)
 
@@ -370,35 +367,9 @@ class FluidMediaSession:
             i += 1
         flow.tail_idx = i
         if delays:
-            self._observe(flow.receiver, delays, jitters, last)
+            flow.receiver.observe_many(delays, jitters, last)
         if i < len(tail):
             self.sim.schedule_at(tail[i][0], self._drain, flow)
-
-    def _observe(
-        self,
-        receiver: object,
-        delays: List[float],
-        jitters: List[float],
-        last_arrival: Optional[float],
-    ) -> None:
-        """Feed a batch of analytic samples into the receiver's metrics,
-        using the same cached histogram handles the event path uses."""
-        m2e = receiver._m2e_hist
-        if m2e is None:
-            m2e = receiver._m2e_hist = self.sim.metrics.histogram(
-                f"{receiver.name}.mouth_to_ear"
-            )
-        m2e.observe_many(delays)
-        if jitters:
-            jit = receiver._jitter_hist
-            if jit is None:
-                jit = receiver._jitter_hist = self.sim.metrics.histogram(
-                    f"{receiver.name}.jitter"
-                )
-            jit.observe_many(jitters)
-        receiver.frames_received += len(delays)
-        if last_arrival is not None:
-            receiver._last_rx_time = last_arrival
 
 
 def install_fluid(sim: "Simulator") -> FluidMediaSession:

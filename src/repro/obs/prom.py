@@ -29,7 +29,8 @@ expects, and output stays byte-stable for equal snapshots.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Union
+from functools import lru_cache
+from typing import Any, Dict, List, Tuple, Union
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -59,9 +60,38 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _header(lines: List[str], series: str, kind: str, help_text: str) -> None:
-    lines.append(f"# HELP {series} {_escape_help(help_text)}")
-    lines.append(f"# TYPE {series} {kind}")
+@lru_cache(maxsize=1 << 14)
+def _stems(name: str, prefix: str, kind: str) -> Tuple[str, ...]:
+    """Everything before the value on each sample line of one metric
+    family, its ``# HELP``/``# TYPE`` headers included.  Metric names do
+    not change between scrapes, so each family's name is sanitized and
+    its headers rendered once per process (bounded by the cache size).
+    *kind* is ``counter``, ``gauge``, ``summary`` or ``clock`` (the
+    run's final ``sim_time``)."""
+    series = sanitize_name(name, prefix)
+
+    def head(family: str, type_: str, help_text: str) -> str:
+        return (f"# HELP {family} {_escape_help(help_text)}\n"
+                f"# TYPE {family} {type_}\n{family}")
+
+    if kind == "counter":
+        return (head(series, "counter", f"Simulation counter {name}."),)
+    if kind == "gauge":
+        return (
+            head(series, "gauge", f"Simulation gauge {name}."),
+            head(f"{series}_time_avg", "gauge",
+                 f"Time-weighted average of {name} over the run."),
+            head(f"{series}_peak", "gauge", f"Peak value of {name} over the run."),
+        )
+    if kind == "summary":
+        quantiles = [f'{{quantile="{label}"}}' for _, label in _QUANTILES]
+        return (
+            head(series, "summary", f"Simulation histogram {name}.") + quantiles[0],
+            *(series + q for q in quantiles[1:]),
+            head(f"{series}_sum", "counter", f"Sum of observed values of {name}."),
+            head(f"{series}_count", "counter", f"Number of observations of {name}."),
+        )
+    return (head(series, "gauge", "Final simulated clock of the run, seconds."),)
 
 
 def render_prometheus(source: Any, prefix: str = "repro_") -> str:
@@ -87,36 +117,19 @@ def render_snapshot(snapshot: Dict[str, Any], prefix: str = "repro_") -> str:
     registry."""
     lines: List[str] = []
     for name, value in snapshot["counters"].items():
-        series = sanitize_name(name, prefix)
-        _header(lines, series, "counter", f"Simulation counter {name}.")
-        lines.append(f"{series} {_fmt(value)}")
+        (stem,) = _stems(name, prefix, "counter")
+        lines.append(f"{stem} {_fmt(value)}")
     for name, summary in snapshot["gauges"].items():
-        series = sanitize_name(name, prefix)
-        _header(lines, series, "gauge", f"Simulation gauge {name}.")
-        lines.append(f"{series} {_fmt(summary['value'])}")
-        _header(lines, f"{series}_time_avg", "gauge",
-                f"Time-weighted average of {name} over the run.")
-        lines.append(f"{series}_time_avg {_fmt(summary['time_average'])}")
-        _header(lines, f"{series}_peak", "gauge",
-                f"Peak value of {name} over the run.")
-        lines.append(f"{series}_peak {_fmt(summary['peak'])}")
+        values = (summary["value"], summary["time_average"], summary["peak"])
+        for stem, value in zip(_stems(name, prefix, "gauge"), values):
+            lines.append(f"{stem} {_fmt(value)}")
     for name, summary in snapshot["histograms"].items():
-        series = sanitize_name(name, prefix)
-        _header(lines, series, "summary", f"Simulation histogram {name}.")
-        for key, label in _QUANTILES:
-            lines.append(
-                f'{series}{{quantile="{label}"}} {_fmt(summary[key])}'
-            )
-        _header(lines, f"{series}_sum", "counter",
-                f"Sum of observed values of {name}.")
-        lines.append(
-            f"{series}_sum {_fmt(summary['mean'] * summary['count'])}"
-        )
-        _header(lines, f"{series}_count", "counter",
-                f"Number of observations of {name}.")
-        lines.append(f"{series}_count {_fmt(int(summary['count']))}")
-    sim_time = sanitize_name("sim_time", prefix)
-    _header(lines, sim_time, "gauge",
-            "Final simulated clock of the run, seconds.")
-    lines.append(f"{sim_time} {_fmt(snapshot['sim_time'])}")
+        values = [summary[key] for key, _ in _QUANTILES] + [
+            summary["mean"] * summary["count"],
+            int(summary["count"]),
+        ]
+        for stem, value in zip(_stems(name, prefix, "summary"), values):
+            lines.append(f"{stem} {_fmt(value)}")
+    (stem,) = _stems("sim_time", prefix, "clock")
+    lines.append(f"{stem} {_fmt(snapshot['sim_time'])}")
     return "\n".join(lines) + "\n"

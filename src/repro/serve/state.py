@@ -28,7 +28,9 @@ class ServeState:
         self._view: Dict[str, Any] = {
             "snapshot": None,
             "status": {"phase": "starting"},
-            "alerts": {"alerts": [], "transitions": []},
+            # The shape SloWatchdog.alert_payload() publishes, so a run
+            # without --alert serves the same keys.
+            "alerts": {"alerts": [], "transitions": [], "transition_count": 0},
             "incidents": {"captured": 0, "dropped": 0,
                           "capturing": False, "incidents": []},
         }

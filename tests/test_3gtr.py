@@ -41,6 +41,30 @@ class TestRegistration3gtr:
         _, ms, _ = tgtr
         assert hasattr(ms, "_send_h323")  # the modified handset
 
+    def test_handlerless_tunnelled_message_reaches_on_unhandled(self, tgtr):
+        """The handset unwraps H.323 from its GPRS frames and dispatches
+        it through its handler table; a message it has no handler for is
+        counted and noted instead of silently dropped."""
+        from repro.gprs.gb import GbUnitdata
+        from repro.gprs.pdp import NSAPI_SIGNALLING
+        from repro.net.interfaces import Interface
+        from repro.packets.ip import IPv4, PORT_H225_RAS, UDP
+        from repro.packets.ras import RasUrq
+
+        nw, ms, _ = tgtr
+        frame = GbUnitdata(imsi=ms.imsi, nsapi=NSAPI_SIGNALLING)
+        frame.payload = (
+            IPv4(src=nw.gk.ip, dst=ms.static_ip)
+            / UDP(sport=PORT_H225_RAS, dport=PORT_H225_RAS)
+            / RasUrq(seq=1, alias=ms.msisdn)
+        )
+        ms.receive(frame, nw.btss[0], Interface.UM)
+        assert nw.sim.metrics.counters("unhandled.MS1") == {"unhandled.MS1": 1}
+        assert any(
+            e.kind == "note" and e.message == "UNHANDLED RAS_URQ"
+            for e in nw.sim.trace.entries
+        )
+
 
 class TestCalls3gtr:
     def test_mo_call_activates_context_per_call(self, tgtr):

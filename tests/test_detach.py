@@ -48,6 +48,16 @@ class TestDetach:
         assert not entry.gprs_attached
         assert not entry.signalling_ready
 
+    def test_power_off_leaves_no_unhandled_message(self, attached):
+        """The gatekeeper's RAS_UCF answer to the power-off's URQ reaches
+        a VMSC handler, so no unhandled-message counter exists."""
+        nw, ms, _ = attached
+        ms.power_off()
+        nw.sim.run(until=nw.sim.now + 2.0)
+        assert nw.sim.trace.first("RAS_UCF") is not None
+        counters = nw.sim.metrics.counters()
+        assert [name for name in counters if "unhandled" in name] == []
+
     def test_mt_call_to_detached_ms_rejected(self, attached):
         nw, ms, term = attached
         ms.power_off()

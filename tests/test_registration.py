@@ -77,6 +77,37 @@ class TestGatekeeperSide:
         assert ms.imsi.digits not in text
 
 
+class TestTunnelledDispatch:
+    def test_handlerless_tunnelled_message_reaches_on_unhandled(self, registered):
+        """H.323 arriving through an MS's PDP context is unwrapped and
+        dispatched through the VMSC's handler table, so a message the
+        VMSC has no handler for is counted and noted like any other."""
+        from repro.gprs.gb import GbUnitdata
+        from repro.net.interfaces import Interface
+        from repro.packets.ip import IPv4, PORT_H225_RAS, UDP
+        from repro.packets.ras import RasUrq
+
+        nw = registered
+        ms = nw.mss["MS1"]
+        entry = nw.vmsc.ms_table.get(ms.imsi)
+        frame = GbUnitdata(imsi=ms.imsi, nsapi=NSAPI_SIGNALLING)
+        frame.payload = (
+            IPv4(src=nw.gk.ip, dst=entry.ip)
+            / UDP(sport=PORT_H225_RAS, dport=PORT_H225_RAS)
+            / RasUrq(seq=1, alias=ms.msisdn)
+        )
+        def unhandled():
+            return nw.sim.metrics.counters("unhandled.VMSC").get("unhandled.VMSC", 0)
+
+        before = unhandled()
+        nw.vmsc.receive(frame, nw.sgsn, Interface.GB)
+        assert unhandled() == before + 1
+        assert any(
+            e.kind == "note" and e.message == "UNHANDLED RAS_URQ"
+            for e in nw.sim.trace.entries
+        )
+
+
 class TestGprsSide:
     def test_sgsn_holds_mm_and_pdp_context(self, registered):
         imsi = registered.mss["MS1"].imsi

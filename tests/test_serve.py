@@ -385,6 +385,22 @@ class TestServeIntegration:
         assert sampler.on_bucket == [c_run.watched.recorder._on_bucket,
                                      c_dog.push]
 
+    def test_alerts_payload_has_one_shape(self):
+        """/alerts serves the same keys with and without --alert."""
+        no_alert = BASE_ARGS[:-len(ALERT_ARGS)]
+
+        def alert_keys(extra):
+            run = build_serve_run(
+                serve_args(no_alert + ["--rate", "0", "--quantum", "0.5"] + extra),
+                echo=lambda _line: None,
+            )
+            run.loop.run()
+            return sorted(json.loads(run.state.alerts_json()))
+
+        assert alert_keys([]) == alert_keys(ALERT_ARGS) == [
+            "alerts", "transition_count", "transitions",
+        ]
+
     def test_sigterm_drains_gracefully(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
