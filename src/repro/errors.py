@@ -19,7 +19,9 @@ class SimulationError(ReproError):
 class TraceWindowError(SimulationError):
     """A trace query asked about a message name whose entries were
     evicted by the recorder's retention window (:meth:`TraceRecorder.
-    set_limit`) — the answer would be silently wrong, not merely empty."""
+    set_limit`), or a query or exporter ran on a simulator that retains
+    no history (``Simulator.retain_history`` off) — the answer would be
+    silently wrong, not merely empty."""
 
 
 class PacketError(ReproError):

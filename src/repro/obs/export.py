@@ -42,8 +42,11 @@ def export_trace_jsonl(
 
     Returns the number of lines written.  Pass ``append=True`` (with a
     path) to concatenate several runs into one file; each starts with
-    its own ``run`` header line.
+    its own ``run`` header line.  Raises
+    :class:`~repro.errors.TraceWindowError` (before opening *out*) when
+    *sim* retains no history.
     """
+    sim.trace.require_history("export_trace_jsonl")
     if isinstance(out, str):
         with open(out, "a" if append else "w", encoding="utf-8") as fh:
             return export_trace_jsonl(sim, fh, run=run)
@@ -84,6 +87,7 @@ def export_trace_jsonl(
 def render_span_tree(sim: Any, max_entries_per_span: int = 40) -> str:
     """Human-readable per-call tree: spans indented by parentage, trace
     entries as leaves — the Figures 4-6 steps grouped by procedure."""
+    sim.trace.require_history("render_span_tree")
     spans = sim.spans.spans
     children: Dict[Optional[int], List[Any]] = {}
     for span in spans:

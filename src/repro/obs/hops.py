@@ -149,6 +149,7 @@ def waterfall_rows(span: Any, hops: HopRecorder) -> List[Dict[str, Any]]:
     link time, crossing count, and the share of the span's wall
     (sim-time) duration.
     """
+    hops.sim.trace.require_history("the latency waterfall")
     index = hops.index()
     totals: Dict[str, Dict[str, Any]] = {}
     for entry in span.entries:

@@ -81,7 +81,10 @@ def positive_int(text: str) -> int:
 #: add_argument options)``; each ``dest`` names an ObsSession parameter.
 OBS_FLAGS = (
     ("--trace-out", dict(
-        metavar="FILE", help="write a JSONL trace (spans + events) to FILE")),
+        metavar="FILE",
+        help="write a JSONL trace (spans + events) to FILE; keeps the "
+             "whole run's trace and spans in memory, which a served run "
+             "otherwise does not")),
     ("--metrics-out", dict(
         metavar="FILE",
         help="write the final Prometheus metrics snapshot to FILE")),
@@ -102,7 +105,9 @@ OBS_FLAGS = (
     ("--timeline-out", dict(
         metavar="FILE",
         help="write a Chrome-trace-event timeline (spans + link hops) to "
-             "FILE; open in chrome://tracing or ui.perfetto.dev")),
+             "FILE; open in chrome://tracing or ui.perfetto.dev; keeps the "
+             "whole run's trace and spans in memory, which a served run "
+             "otherwise does not")),
     ("--slo", dict(
         type=checked_text(parse_slo_rules), metavar="RULES",
         help="SLO rules ('name: func(glob) OP threshold', ';'-separated, "
@@ -228,6 +233,12 @@ class ObsSession:
             or self.waterfall or self.slo_rules or self.alert_rules
             or self.incident_dir
         )
+
+    @property
+    def needs_history(self) -> bool:
+        """True when an artefact reads the whole run's trace entries and
+        spans, so the watched simulators must retain their history."""
+        return bool(self.trace_out or self.timeline_out)
 
     @property
     def _wants_series(self) -> bool:

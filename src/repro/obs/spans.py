@@ -52,6 +52,8 @@ class Span:
         "keys",
         "attrs",
         "entries",
+        "n_entries",
+        "learned",
         "_tracker",
     )
 
@@ -74,7 +76,13 @@ class Span:
         self.status: Optional[str] = None
         self.keys = keys
         self.attrs = attrs
-        self.entries: List[Any] = []
+        #: Attached trace entries, or ``None`` when the tracker does not
+        #: retain history (``n_entries`` still counts them).
+        self.entries: Optional[List[Any]] = [] if tracker.retain else None
+        self.n_entries = 0
+        #: Learned-transaction keys registered for this span (``None``
+        #: until the first), dropped from the tracker when it closes.
+        self.learned: Optional[List[Tuple[str, str, str, str]]] = None
 
     @property
     def open(self) -> bool:
@@ -104,7 +112,7 @@ class Span:
             "status": self.status,
             "keys": dict(self.keys),
             "attrs": dict(self.attrs),
-            "n_entries": len(self.entries),
+            "n_entries": self.n_entries,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -129,6 +137,7 @@ class _NullSpan:
     end: Optional[float] = 0.0
     status: Optional[str] = None
     entries: List[Any] = []
+    n_entries = 0
     keys: Dict[str, str] = {}
 
     def bind(self, field: str, value: Any) -> "_NullSpan":
@@ -142,27 +151,31 @@ NULL_SPAN = _NullSpan()
 
 
 class SpanTracker:
-    """Registry of open spans and archive of closed ones.
+    """Registry of open spans and, when it retains history, archive of
+    closed ones.
 
     One tracker hangs off every :class:`~repro.sim.kernel.Simulator` as
     ``sim.spans`` and receives each recorded trace entry as the first of
     ``TraceRecorder.sinks``.  The per-entry cost with no spans open is a
-    single dict truthiness check.
+    single dict truthiness check.  With ``retain`` off (switched with
+    ``Simulator.retain_history``) a span keeps only a count of its
+    entries and leaves ``spans`` when it closes, after its close hooks
+    ran, so the tracker holds only the open spans.
     """
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self.enabled = True
-        #: All spans ever opened, in open order (bounded; see max_spans).
+        #: Keep closed spans and each span's entries.
+        self.retain = True
+        #: Spans in open order: every span ever opened when retaining,
+        #: else only the open ones.
         self.spans: List[Span] = []
         #: Spans opened and not yet closed (``len(open_spans())``
         #: without the scan).
         self.open_count = 0
-        #: Spans discarded to honour ``max_spans`` (soak bounding).
+        #: Closed spans let go at close because ``retain`` is off.
         self.dropped = 0
-        #: Retention bound; when exceeded, the oldest *closed* half is
-        #: discarded in one batch, mirroring TraceRecorder.set_limit.
-        self.max_spans: Optional[int] = None
         #: Subscribers called in order with each span as it closes
         #: (after deregistration); the flight recorder appends here.
         self.on_close: List[Callable[[Span], None]] = []
@@ -170,8 +183,9 @@ class SpanTracker:
         # (field, str(value)) -> open spans registered under that key,
         # in open order; the innermost match is the last element.
         self._open_by_key: Dict[Tuple[str, str], List[Span]] = {}
-        # (node_a, node_b, field, str(value)) -> span, learned from
-        # matched request entries; node pair is sorted.
+        # (node_a, node_b, field, str(value)) -> open span, learned from
+        # matched request entries; node pair is sorted.  A span's keys
+        # are dropped when it closes.
         self._learned: Dict[Tuple[str, str, str, str], Span] = {}
 
     # ------------------------------------------------------------------
@@ -211,8 +225,6 @@ class SpanTracker:
         self.open_count += 1
         for field, value in norm.items():
             self._open_by_key.setdefault((field, value), []).append(span)
-        if self.max_spans is not None and len(self.spans) > self.max_spans:
-            self._trim()
         return span
 
     def _bind(self, span: Span, field: str, value: Any) -> None:
@@ -236,26 +248,18 @@ class SpanTracker:
                 pass
             if not bucket:
                 del self._open_by_key[(field, value)]
+        if span.learned is not None:
+            learned = self._learned
+            for key in span.learned:
+                # A key relearned by a later span is that span's now.
+                if learned.get(key) is span:
+                    del learned[key]
+            span.learned = None
+        if not self.retain:
+            self.spans.remove(span)
+            self.dropped += 1
         for hook in self.on_close:
             hook(span)
-
-    def _trim(self) -> None:
-        keep = self.max_spans // 2
-        survivors: List[Span] = []
-        trimmed = 0
-        overflow = len(self.spans) - keep
-        for span in self.spans:
-            if trimmed < overflow and not span.open:
-                trimmed += 1
-                continue
-            survivors.append(span)
-        self.dropped += trimmed
-        self.spans = survivors
-        if trimmed:
-            live = {id(s) for s in self.spans}
-            self._learned = {
-                key: s for key, s in self._learned.items() if id(s) in live
-            }
 
     # ------------------------------------------------------------------
     # Matching
@@ -291,7 +295,9 @@ class SpanTracker:
             best = self._lookup_learned(entry, info)
         if best is None:
             return
-        best.entries.append(entry)
+        best.n_entries += 1
+        if self.retain:
+            best.entries.append(entry)
         for field in LEARNED_FIELDS:
             value = info.get(field)
             if value is not None:
@@ -306,7 +312,13 @@ class SpanTracker:
         return (a, b, field, str(value))
 
     def _learn(self, entry: Any, field: str, value: Any, span: Span) -> None:
-        self._learned[self._pair_key(entry, field, value)] = span
+        key = self._pair_key(entry, field, value)
+        if self._learned.get(key) is not span:
+            self._learned[key] = span
+            if span.learned is None:
+                span.learned = [key]
+            else:
+                span.learned.append(key)
 
     def _lookup_learned(self, entry: Any, info: Dict[str, Any]) -> Optional[Span]:
         for field in LEARNED_FIELDS:
@@ -315,9 +327,7 @@ class SpanTracker:
                 continue
             span = self._learned.get(self._pair_key(entry, field, value))
             if span is not None:
-                if span.open:
-                    return span
-                del self._learned[self._pair_key(entry, field, value)]
+                return span
         return None
 
     # ------------------------------------------------------------------

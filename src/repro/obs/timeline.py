@@ -49,6 +49,7 @@ def timeline_events(
     ``pid_base``/``label`` namespace the lanes so several runs (e.g. the
     tromboning demo's classic-GSM and vGPRS networks) can share one
     timeline file without colliding."""
+    sim.trace.require_history("the timeline export")
     span_pid = pid_base + SPAN_PID
     link_pid = pid_base + LINK_PID
     events: List[Dict[str, Any]] = [

@@ -195,14 +195,17 @@ def build_serve_run(
         from repro.core.baseline_gsm import build_classic_roaming_network
 
         nw: Any = build_classic_roaming_network(seed=args.seed)
-        nw.sim.run(until=0.5)
-        pairs = build_classic_population(nw, args.pairs)
+        populate = build_classic_population
     else:
         from repro.core.network import build_vgprs_network
 
         nw = build_vgprs_network(seed=args.seed)
-        nw.sim.run(until=0.5)
-        pairs = build_population(nw, args.pairs)
+        populate = build_population
+    # A served run keeps no trace or closed-span history unless an
+    # exporter reads it, so its memory stays flat in run length.
+    nw.sim.retain_history = obs.needs_history
+    nw.sim.run(until=0.5)
+    pairs = populate(nw, args.pairs)
     for ms, _peer in pairs:
         scenarios.register_ms(nw, ms)
 

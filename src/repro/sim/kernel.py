@@ -86,6 +86,29 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
+    @property
+    def retain_history(self) -> bool:
+        """Whether the trace keeps its entries and the span tracker its
+        closed spans (default ``True``).  Off, every entry still reaches
+        every sink and every span its close hooks, but nothing is kept
+        after that, so memory stays flat in run length; trace queries
+        and exporters then raise :class:`~repro.errors.TraceWindowError`.
+        Switch it before anything is recorded."""
+        return self.trace.retain
+
+    @retain_history.setter
+    def retain_history(self, retain: bool) -> None:
+        trace, spans = self.trace, self.spans
+        if retain != trace.retain and (
+            trace.entries or trace.dropped or spans.spans or spans.dropped
+        ):
+            raise SimulationError(
+                "retain_history must be set before the run records "
+                "anything; switching it mid-run would leave a partial "
+                "history"
+            )
+        trace.retain = spans.retain = retain
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

@@ -10,9 +10,19 @@ Recorded ``"msg"`` entries are additionally indexed by message name, so
 :meth:`TraceRecorder.first` / :meth:`~TraceRecorder.last` /
 :meth:`~TraceRecorder.count` — which scenario drivers call once per
 executed event while waiting for a flow step — are O(1) instead of
-rescanning the entry list.  For soak runs the recorder can be disabled
-(``enabled = False``) or bounded (:meth:`TraceRecorder.set_limit`), which
-keeps memory flat over hours of simulated time.
+rescanning the entry list.
+
+Retained history is opt-in per run.  Batch runs, tests and the flow
+projections keep every entry (the default).  A long-lived run switches
+``Simulator.retain_history`` off: each entry is still built and handed
+to every sink (spans, flight recorder), then counted in
+:attr:`TraceRecorder.dropped` instead of kept, so memory stays flat in
+run length; ``repro serve`` does this unless an exporter (``--trace-out``,
+``--timeline-out``) needs the whole run.  Queries and
+exporters then raise :class:`~repro.errors.TraceWindowError` rather than
+answer from an empty list.  Soak runs can also disable the recorder
+(``enabled = False``) or keep a rolling window
+(:meth:`TraceRecorder.set_limit`).
 """
 
 from __future__ import annotations
@@ -84,6 +94,10 @@ class TraceRecorder:
         self._clock = clock
         self.entries: List[TraceEntry] = []
         self.enabled = True
+        #: Keep recorded entries (and the name index).  Off, entries
+        #: still reach every sink but are only counted in ``dropped``;
+        #: switched with ``Simulator.retain_history``.
+        self.retain = True
         self.quiet_names = set(self.DEFAULT_QUIET)
         # message name -> list of "msg"-kind entries bearing that name,
         # in recording order.
@@ -129,15 +143,18 @@ class TraceRecorder:
         if not self.enabled or message in self.quiet_names:
             return
         entry = TraceEntry(self._clock(), kind, src, dst, interface, message, info)
-        self.entries.append(entry)
-        if kind == "msg":
-            self._msg_count += 1
-            bucket = self._msg_index.get(message)
-            if bucket is None:
-                bucket = self._msg_index[message] = []
-            bucket.append(entry)
-        if self._limit is not None and len(self.entries) > self._limit:
-            self._trim(self._limit)
+        if self.retain:
+            self.entries.append(entry)
+            if kind == "msg":
+                self._msg_count += 1
+                bucket = self._msg_index.get(message)
+                if bucket is None:
+                    bucket = self._msg_index[message] = []
+                bucket.append(entry)
+            if self._limit is not None and len(self.entries) > self._limit:
+                self._trim(self._limit)
+        else:
+            self.dropped += 1
         for sink in self.sinks:
             sink(entry)
 
@@ -186,6 +203,7 @@ class TraceRecorder:
         since: float = 0.0,
     ) -> List[TraceEntry]:
         """Filtered view of recorded ``"msg"`` entries."""
+        self.require_history("messages()")
         # A name filter narrows the scan to that message's index bucket.
         pool = self.entries if name is None else self._msg_index.get(name, [])
         out = []
@@ -214,11 +232,25 @@ class TraceRecorder:
         it = iter(actual)
         return all(any(step == got for got in it) for step in expected)
 
+    def require_history(self, what: str) -> None:
+        """Raise :class:`TraceWindowError` when this recorder keeps no
+        entries, so *what* (a query or an exporter) cannot answer from
+        an empty list as if nothing had happened."""
+        if not self.retain:
+            raise TraceWindowError(
+                f"{what} needs the recorded trace, but this run retains "
+                f"no history (retain_history is off; {self.dropped} "
+                "entries went to the sinks only).  Set "
+                "Simulator.retain_history before the run records."
+            )
+
     def _check_window(self, name: str) -> None:
         """Soak-mode footgun guard: once entries for *name* have been
-        evicted by the retention window, point queries about it would
-        silently under-count (or miss the true first occurrence), letting
-        flow assertions pass vacuously.  Fail loudly instead."""
+        evicted by the retention window, or none were kept at all,
+        point queries about it would silently under-count (or miss the
+        true first occurrence), letting flow assertions pass vacuously.
+        Fail loudly instead."""
+        self.require_history(f"a query about {name!r}")
         if name in self._evicted_names:
             raise TraceWindowError(
                 f"trace entries for {name!r} were evicted by the retention "
@@ -239,6 +271,7 @@ class TraceRecorder:
 
     def count(self, name: Optional[str] = None) -> int:
         if name is None:
+            self.require_history("count()")
             return self._msg_count
         self._check_window(name)
         return len(self._msg_index.get(name, ()))

@@ -120,15 +120,58 @@ class TestSpanTracker:
         trace.record("msg", "A", "B", "Um", "M", imsi="1")
         assert tracker.spans == []
 
-    def test_trim_drops_oldest_closed_spans(self):
-        tracker, _, _ = self.make()
-        tracker.max_spans = 10
-        keep_open = tracker.open("call", keys={"imsi": "keep"})
-        for i in range(11):
-            tracker.open("call", keys={"imsi": i}).close()
-        assert len(tracker.spans) <= 10
-        assert tracker.dropped > 0
-        assert keep_open in tracker.spans  # open spans survive trimming
+    def test_unretained_spans_retire_at_close(self):
+        tracker, trace, _ = self.make()
+        tracker.retain = False
+        closures = []
+        tracker.on_close.append(lambda s: closures.append(s.to_dict()))
+        first = tracker.open("call", keys={"imsi": "a"})
+        middle = tracker.open("call", keys={"imsi": "b"})
+        last = tracker.open("call", keys={"imsi": "c"})
+        trace.record("msg", "A", "B", "Um", "M1", imsi="b")
+        trace.record("msg", "A", "B", "Um", "M2", imsi="b")
+        middle.close()
+        # The closed span left the archive, its close hooks still saw
+        # the entry count, and open order is kept.
+        assert tracker.spans == [first, last]
+        assert tracker.open_spans() == [first, last]
+        assert tracker.dropped == 1 and tracker.open_count == 2
+        assert closures[0]["n_entries"] == 2
+        assert middle.entries is None and middle.n_entries == 2
+
+    def test_retained_spans_stay_after_close(self):
+        tracker, trace, _ = self.make()
+        span = tracker.open("call", keys={"imsi": 1})
+        trace.record("msg", "A", "B", "Um", "M1", imsi="1")
+        span.close()
+        assert tracker.spans == [span] and tracker.dropped == 0
+        assert span.to_dict()["n_entries"] == len(span.entries) == 1
+
+    def test_learned_keys_dropped_at_close(self):
+        tracker, trace, _ = self.make()
+        span = tracker.open("registration", keys={"imsi": 1})
+        trace.record("msg", "VLR", "HLR", "D", "MAP_Req", imsi="1", invoke_id=5)
+        trace.record("msg", "VLR", "GMSC", "D", "MAP_Req", imsi="1", invoke_id=6)
+        assert len(tracker._learned) == 2
+        span.close()
+        assert tracker._learned == {}
+        assert tracker._lookup_learned(
+            trace.entries[0], {"invoke_id": 5}
+        ) is None
+
+    def test_learned_key_relearned_by_later_span_survives_close(self):
+        tracker, trace, _ = self.make()
+        old = tracker.open("registration", keys={"imsi": 1})
+        trace.record("msg", "VLR", "HLR", "D", "MAP_Req", imsi="1", invoke_id=5)
+        new = tracker.open("registration", keys={"imsi": 2})
+        # The same transaction id on the same node pair now belongs to
+        # the newer span; closing the older one must not forget it.
+        trace.record("msg", "VLR", "HLR", "D", "MAP_Req", imsi="2", invoke_id=5)
+        old.close()
+        trace.record("msg", "HLR", "VLR", "D", "MAP_Ack", invoke_id=5)
+        assert [e.message for e in new.entries] == ["MAP_Req", "MAP_Ack"]
+        new.close()
+        assert tracker._learned == {}
 
     def test_open_count_matches_open_spans(self):
         tracker, _, _ = self.make()

@@ -250,12 +250,14 @@ class TestServeIntegration:
         assert finish_serve_run(run, echo=echoes.append) == 2
         assert any("rereg=resolved" in line for line in echoes)
 
-    def test_paced_run_matches_unpaced_batch_byte_for_byte(self):
+    def test_paced_run_matches_unpaced_batch_byte_for_byte(self, tmp_path):
         # Same quantum both sides: the drain ends on a quantum boundary,
         # so the slice size is part of the workload definition — the
         # pacing *rate* is what must never leak into the simulation.
-        batch, _ = run_pipeline(["--rate", "0", "--quantum", "0.5"])
-        paced, _ = run_pipeline(["--rate", "400", "--quantum", "0.5"])
+        # --trace-out makes both runs retain the trace compared below.
+        retain = ["--trace-out", str(tmp_path / "trace.jsonl")]
+        batch, _ = run_pipeline(["--rate", "0", "--quantum", "0.5"] + retain)
+        paced, _ = run_pipeline(["--rate", "400", "--quantum", "0.5"] + retain)
         assert paced.workload.arrivals == batch.workload.arrivals
         assert (paced.sim.trace.triples()
                 == batch.sim.trace.triples())
@@ -423,3 +425,83 @@ class TestServeIntegration:
             raise
         assert proc.returncode == 0, stderr
         assert "drained=yes" in stderr
+
+
+# ----------------------------------------------------------------------
+# Retention: a served run keeps no history unless an exporter asks
+# ----------------------------------------------------------------------
+#: A short unpaced served run crossing a GK outage and a storm.
+RETENTION_ARGS = [
+    "--no-http", "--rate", "0", "--quantum", "0.5", "--pairs", "3",
+    "--seed", "23", "--calls-per-hour", "900",
+    "--avalanche-at", "10", "--avalanche-spread", "1.5",
+    "--faults", "at 12 link GK--IPNET down for 4",
+] + ALERT_ARGS
+#: Status fields that read the wall clock, so differ between any runs.
+WALL_FIELDS = ("wall_runtime", "wall_lag", "event_rate")
+
+
+class TestServeRetention:
+    @pytest.mark.parametrize("duration", [20, 60])
+    def test_unexported_run_retains_no_history(self, duration):
+        run = build_serve_run(
+            serve_args(RETENTION_ARGS + ["--duration", str(duration)]),
+            echo=lambda _line: None,
+        )
+        run.loop.run()
+        sim = run.sim
+        assert not sim.retain_history
+        # Every entry reached the sinks and was counted, none was kept.
+        assert sim.trace.entries == [] and sim.trace.dropped > 0
+        # Only open spans are held; closed ones were counted and let go.
+        spans = sim.spans
+        assert len(spans.spans) == spans.open_count
+        assert spans.dropped > 0
+        # Learned transaction keys point at open spans only.
+        assert len(spans._learned) <= spans.open_count
+        assert all(span.open for span in spans._learned.values())
+
+    def test_trace_out_changes_no_served_output(self, tmp_path):
+        def served(name, extra):
+            out = tmp_path / name
+            out.mkdir()
+            args = RETENTION_ARGS + [
+                "--duration", "30",
+                "--metrics-out", str(out / "metrics.prom"),
+                "--incident-dir", str(out / "incidents"),
+            ] + extra
+            run = build_serve_run(serve_args(args), echo=lambda _line: None)
+            run.loop.run()
+            status = json.loads(run.state.status_json())
+            code = finish_serve_run(run, echo=lambda _line: None)
+            for field in WALL_FIELDS:
+                status.pop(field)
+            return run, out, code, status
+
+        trace_out = tmp_path / "trace.jsonl"
+        bare, bare_dir, bare_code, bare_status = served("bare", [])
+        kept, kept_dir, kept_code, kept_status = served(
+            "kept", ["--trace-out", str(trace_out)]
+        )
+        assert not bare.sim.retain_history and kept.sim.retain_history
+        assert bare_code == kept_code
+        assert ((bare_dir / "metrics.prom").read_text()
+                == (kept_dir / "metrics.prom").read_text())
+        assert bare.loop.recorder.bundles
+        assert (json.dumps(bare.loop.recorder.bundles, sort_keys=True,
+                           default=str)
+                == json.dumps(kept.loop.recorder.bundles, sort_keys=True,
+                              default=str))
+        bundle_files = sorted(
+            p.name for p in (bare_dir / "incidents").iterdir()
+        )
+        assert bundle_files
+        for name in bundle_files:
+            assert ((bare_dir / "incidents" / name).read_text()
+                    == (kept_dir / "incidents" / name).read_text())
+        assert bare_status == kept_status
+        header = json.loads(trace_out.read_text().splitlines()[0])
+        assert header["n_entries"] == bare.sim.trace.dropped > 0
+        assert len(kept.sim.spans.spans) == (
+            bare.sim.spans.dropped + bare.sim.spans.open_count
+        )

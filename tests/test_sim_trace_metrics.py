@@ -524,3 +524,53 @@ class TestTraceIndexAndLimits:
         self.fill(trace, clock, 3)
         trace.enabled = True
         assert trace.count("M") == 3
+
+
+class TestRetainHistory:
+    def make(self):
+        sim = Simulator()
+        sim.retain_history = False
+        seen = []
+        sim.trace.sinks.append(seen.append)
+        return sim, seen
+
+    def test_unretained_entries_reach_sinks_and_count_as_dropped(self):
+        sim, seen = self.make()
+        assert not sim.trace.retain and not sim.spans.retain
+        span = sim.spans.open("call", keys={"imsi": 1})
+        sim.trace.record("msg", "A", "B", "Um", "M", imsi="1")
+        sim.trace.note("A", "milestone")
+        assert [e.message for e in seen] == ["M", "milestone"]
+        assert sim.trace.entries == [] and sim.trace.dropped == 2
+        assert span.n_entries == 1
+
+    def test_queries_and_exporters_refuse_without_history(self, tmp_path):
+        from repro.obs import export_runs_timeline, export_trace_jsonl
+
+        sim, _ = self.make()
+        sim.trace.record("msg", "A", "B", "Um", "M")
+        queries = (
+            lambda: sim.trace.first("M"),
+            lambda: sim.trace.last("M"),
+            lambda: sim.trace.count("M"),
+            lambda: sim.trace.count(),
+            lambda: sim.trace.messages(),
+            lambda: sim.trace.triples(),
+            lambda: export_trace_jsonl(sim, str(tmp_path / "t.jsonl")),
+            lambda: export_runs_timeline([("main", sim)]),
+        )
+        for query in queries:
+            with pytest.raises(TraceWindowError):
+                query()
+        # The refused export opened no file.
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_switch_refused_once_anything_was_recorded(self):
+        from repro.errors import SimulationError
+
+        sim = Simulator()
+        sim.retain_history = True  # no change: always allowed
+        sim.trace.record("msg", "A", "B", "Um", "M")
+        with pytest.raises(SimulationError):
+            sim.retain_history = False
+        assert sim.retain_history and sim.trace.count("M") == 1
