@@ -1,7 +1,8 @@
 """Micro-benchmarks: engineering throughput numbers (not paper figures).
 
 * packet build/parse throughput for the scapy-style codec, and one link
-  hop as wire-fidelity links run it (build, lazy parse, trace_info);
+  hop as wire-fidelity links run it (the ``wire_copy`` round trip and
+  trace_info), with the decode memo warm and cold;
 * discrete-event kernel throughput — a soak-style *population* shape
   (1000 pending events at all times, exercising heap ordering) and a
   serial *chain* shape (one pending event, pure dispatch overhead);
@@ -18,7 +19,7 @@ from repro.core.network import build_vgprs_network
 from repro.core.sweeps import apply_media
 from repro.core.workload import CallWorkload, build_population
 from repro.gsm.relay import rename_packet
-from repro.packets.base import Packet
+from repro.packets.base import Packet, _decode_layer
 from repro.packets.gtp import GtpHeader, MSG_T_PDU
 from repro.packets.ip import IPv4, UDP
 from repro.packets.q931 import Q931Setup
@@ -62,19 +63,34 @@ def test_micro_packet_roundtrip(benchmark):
 def _hop(packet):
     """One wire-fidelity link hop: what ``Link.transmit`` and
     ``Link._deliver`` do to every traced message."""
-    received = Packet.parse(packet.build(), lazy=True)
+    received, _ = packet.wire_copy()
     received.trace_info()
     return received
 
 
+def _relayed():
+    """Two hops with a relay between them: the renamed outer layer keeps
+    its received slice, so the second hop clones every layer."""
+    return _hop(rename_packet(_hop(SAMPLE), IPv4))
+
+
 def test_micro_packet_hop(benchmark):
-    """Two hops with a relay between them: the second hop re-encodes the
-    renamed outer layer and re-emits the inner layers' received bytes."""
+    """The decode memo is warm after the first round, so every fresh
+    layer is a hit: the best case."""
+    got = benchmark(_relayed)
+    assert got == SAMPLE
+    assert got.build() == WIRE
 
-    def relayed():
-        return _hop(rename_packet(_hop(SAMPLE), IPv4))
 
-    got = benchmark(relayed)
+def test_micro_packet_hop_cold(benchmark):
+    """The same two hops with the decode memo cleared first, so every
+    fresh layer of the first hop is decoded in full: the worst case."""
+
+    def cold():
+        _decode_layer.cache_clear()
+        return _relayed()
+
+    got = benchmark(cold)
     assert got == SAMPLE
     assert got.build() == WIRE
 

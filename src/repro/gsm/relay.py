@@ -19,15 +19,25 @@ def rename_packet(packet: Packet, target: Type[Packet]) -> Packet:
     """Rebuild *packet* as *target*, copying the fields both classes
     declare (the interface-sibling classes share field tuples by
     construction) and carrying the payload chain unchanged."""
-    if "_lazy" in packet.__dict__:
-        packet._materialize()
-    target_names = {f.name for f in target.fields}
-    values = {
-        name: value
-        for name, value in packet._values.items()
-        if name in target_names and value is not None
-    }
-    clone = target(**values)
+    values = packet._values
+    plan = target._plan
+    if type(packet)._plan is plan and all(
+        values[name] is not None for name in plan.defaulted
+    ):
+        # Siblings sharing a plan code the same fields the same way: the
+        # values carry over as they are, and a received slice only needs
+        # the target's wire id.
+        wire = packet.__dict__.get("_wire")
+        clone = target._trusted(
+            values, None if wire is None else target._wire_prefix + wire[2:]
+        )
+    else:
+        target_names = {f.name for f in target.fields}
+        clone = target(**{
+            name: value
+            for name, value in values.items()
+            if name in target_names and value is not None
+        })
     clone.payload = packet.payload
     return clone
 

@@ -54,8 +54,8 @@ class IPCloud(Node):
             self.sim.metrics.counter("ip.ttl_expired").inc()
             return
         # Re-header without deep-copying the payload chain (packets are
-        # treated as immutable by receivers; wire-fidelity links re-parse
-        # anyway).  Media-heavy simulations cross here per RTP frame.
+        # treated as immutable by receivers; wire-fidelity links deliver
+        # copies anyway).  Media-heavy simulations cross here per RTP frame.
         fwd = IPv4(
             src=packet.src, dst=packet.dst,
             ttl=packet.ttl - 1, protocol=packet.protocol,

@@ -6,9 +6,10 @@ message is recorded in the trace (so trace order equals arrival order,
 matching how the paper's message-sequence figures read) and handed to the
 receiver's dispatch method.
 
-With ``wire_fidelity`` enabled the packet is serialised to bytes on
-transmit and re-parsed at the receiver, so encode/decode bugs surface in
-every integration test rather than only in codec unit tests.
+With ``wire_fidelity`` enabled the receiver gets what re-parsing the
+serialised packet would give (:meth:`Packet.wire_copy`), so encode/decode
+bugs surface in every integration test rather than only in codec unit
+tests.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class Link:
         Optional serialisation rate in bits/second; when set, the built
         packet length adds transmission delay.
     wire_fidelity:
-        Serialise packets to bytes and re-parse on delivery.
+        Deliver the packet's wire round trip instead of the object sent.
     """
 
     def __init__(
@@ -133,15 +134,15 @@ class Link:
         delay = self.latency
         payload = packet
         if self.wire_fidelity or self.bit_rate:
-            wire = packet.build()
-            self.tx_bytes += len(wire)
-            if self.bit_rate:
-                delay += len(wire) * 8.0 / self.bit_rate
             if self.wire_fidelity:
-                # Lazy parse: boundaries are scanned (so truncation and
-                # length bugs still surface on every hop) but field
-                # values materialise only when the receiver reads them.
-                payload = type(packet).parse(wire, lazy=True)
+                # Every layer is encoded or re-emitted, as build() does;
+                # each distinct encoding is decoded once per process.
+                payload, size = packet.wire_copy()
+            else:
+                size = len(packet.build())
+            self.tx_bytes += size
+            if self.bit_rate:
+                delay += size * 8.0 / self.bit_rate
         if imp is not None and imp.jitter > 0.0:
             delay += imp.rng.random() * imp.jitter
         self.tx_count += 1

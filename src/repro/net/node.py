@@ -50,6 +50,10 @@ class Node:
         # whenever topology changes.  Route resolution is per-message on
         # the hot path.
         self._route_cache: Dict[Tuple[str, Optional[str]], Link] = {}
+        # interface -> its single peer, filled by peer(); cleared with
+        # the route cache.  Links are never detached (a crash only takes
+        # them down), so an entry stays valid until the next attach.
+        self._peer_cache: Dict[str, "Node"] = {}
         # packet type -> bound handler (or None for unhandled), filled on
         # first receive of each type; avoids the MRO walk per message.
         self._dispatch_cache: Dict[type, Optional[Callable]] = {}
@@ -75,6 +79,7 @@ class Node:
     def attach_link(self, link: Link) -> None:
         self._links.setdefault(link.interface, []).append(link)
         self._route_cache.clear()
+        self._peer_cache.clear()
 
     def links_on(self, interface: str) -> List[Link]:
         return self._links.get(interface, [])
@@ -106,12 +111,16 @@ class Node:
 
     def peer(self, interface: str) -> "Node":
         """The single peer on *interface*; raises if none or ambiguous."""
+        peer = self._peer_cache.get(interface)
+        if peer is not None:
+            return peer
         links = self.links_on(interface)
         if len(links) != 1:
             raise TopologyError(
                 f"{self.name!r} has {len(links)} links on {interface!r}, expected 1"
             )
-        return links[0].peer_of(self)
+        peer = self._peer_cache[interface] = links[0].peer_of(self)
+        return peer
 
     def peers(self, interface: str) -> List["Node"]:
         return [l.peer_of(self) for l in self.links_on(interface)]

@@ -15,13 +15,17 @@ into a plan -- one step per field, except that each run of adjacent
 fixed-width integer fields is fused into one ``struct.Struct`` pack or
 unpack.  The plan is data, not generated code.  Field validation means
 every stored value packs; when a fused unpack meets truncated bytes the
-per-field ``Field.skip`` code re-scans that run, so errors keep their
+per-field ``Field.decode`` code re-reads that run, so errors keep their
 exact type and message.
 
-Relayed-slice reuse: a lazily parsed layer keeps its own
-``[wire_id][fields]`` slice and ``build`` re-emits it until one of its
-fields is assigned; its payload is still built layer by layer.  Every
-parse still scans every field boundary.
+Link round trip: :meth:`Packet.wire_copy` is what a wire-fidelity link
+delivers instead of ``parse(build())``.  A layer a link delivered
+keeps its own ``[wire_id][fields]`` slice; ``build`` re-emits it and the
+round trip clones it with its values until one of its fields is
+assigned.  Any other layer is encoded by its plan and decoded once per
+distinct byte string, through a bounded memo.  A decode is a pure
+function of its bytes and every decoded value is immutable, so neither
+shortcut can be told apart from a re-parse.
 
 Tracing: each layer sets ``show_in_flow`` — transport layers (IPv4, UDP,
 GTP) set it ``False`` so that :meth:`Packet.flow_name` names the innermost
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from functools import lru_cache
 from operator import itemgetter
 from typing import (
     Any,
@@ -64,7 +69,7 @@ _EncodeStep = Tuple[Callable[..., bytes], Callable[[Dict[str, Any]], Any], bool]
 #: ``(run, names, fields)``: *run* is the fused ``struct.Struct`` of an
 #: integer run, or ``None`` for a single field (``names``/``fields`` then
 #: have one entry).
-_ScanStep = Tuple[Optional[struct.Struct], Tuple[str, ...], Tuple[Field, ...]]
+_DecodeStep = Tuple[Optional[struct.Struct], Tuple[str, ...], Tuple[Field, ...]]
 
 
 class Packet:
@@ -144,47 +149,29 @@ class Packet:
     # Field access
     # ------------------------------------------------------------------
     def __getattr__(self, item: str) -> Any:
-        d = self.__dict__
-        values = d.get("_values")
+        values = self.__dict__.get("_values")
         if values is not None and item in values:
             return values[item]
-        lazy = d.get("_lazy")
-        if lazy is not None:
-            offset = lazy[1].get(item)
-            if offset is not None:
-                value, _ = type(self)._field_map[item].decode(lazy[0], offset)
-                values[item] = value
-                return value
         raise AttributeError(f"{type(self).__name__} has no field {item!r}")
 
     def get_field(self, name: str, default: Any = None) -> Any:
         """``self.<name>`` if this layer declares the field, else
-        *default* — the lazy-safe replacement for probing ``_values``
-        directly (a lazily parsed layer keeps unread values as wire
-        bytes, so ``_values`` alone understates what is present)."""
-        values = self._values
-        if name in values:
-            return values[name]
-        lazy = self.__dict__.get("_lazy")
-        if lazy is not None and name in lazy[1]:
-            return getattr(self, name)
-        return default
+        *default*."""
+        return self._values.get(name, default)
 
-    def _materialize(self) -> None:
-        """Decode every field still pending from a lazy parse.
-
-        Values already read (or assigned) win over the wire bytes, which
-        matches eager-parse semantics where assignment overwrites the
-        decoded value."""
-        lazy = self.__dict__.pop("_lazy", None)
-        if lazy is None:
-            return
-        data, offsets = lazy
-        values = self._values
-        field_map = type(self)._field_map
-        for name, offset in offsets.items():
-            if name not in values:
-                values[name] = field_map[name].decode(data, offset)[0]
+    @classmethod
+    def _trusted(cls: Type[P], values: Dict[str, Any], wire: Optional[bytes]) -> P:
+        """A *cls* layer holding a copy of *values*, which are already
+        valid (decode output, or another layer's stored values), and the
+        ``[wire_id][fields]`` slice *wire* they encode to, if known.
+        Nothing is validated or encoded."""
+        packet = cls.__new__(cls)
+        state = packet.__dict__
+        state["payload"] = None
+        state["_values"] = dict(values)
+        if wire is not None:
+            state["_wire"] = wire
+        return packet
 
     def __setattr__(self, key: str, value: Any) -> None:
         if key in ("payload", "_values"):
@@ -281,30 +268,51 @@ class Packet:
             layer = state["payload"]
         return b"".join(parts)
 
+    def wire_copy(self) -> Tuple["Packet", int]:
+        """What ``Packet.parse(self.build())`` returns, and the length of
+        those bytes, decoding each distinct layer once.
+
+        This is the wire-fidelity link's round trip.  A layer that still
+        carries its received slice is cloned with its values, with no
+        scan and no decode.  Any other layer is encoded by its plan, as
+        ``build`` does, and the bytes are decoded through a bounded
+        memo: a miss decodes them in full, and checks that the decode
+        consumes exactly those bytes.  Every copy keeps its slice, so
+        the next hop clones it in turn."""
+        copies: List[Packet] = []
+        nbytes = 0
+        layer: Optional[Packet] = self
+        while layer is not None:
+            state = layer.__dict__
+            wire = state.get("_wire")
+            if wire is None:
+                wire = _encode_layer(layer)
+                klass, values = _decode_layer(wire)
+            else:
+                klass, values = type(layer), state["_values"]
+            nbytes += len(wire)
+            copies.append(klass._trusted(values, wire))
+            layer = state["payload"]
+        for outer, inner in zip(copies, copies[1:]):
+            outer.__dict__["payload"] = inner
+        return copies[0], nbytes
+
     @classmethod
-    def parse(cls, data: bytes, *, lazy: bool = False) -> "Packet":
+    def parse(cls, data: bytes) -> "Packet":
         """Parse bytes into a packet chain.
 
         Called on :class:`Packet` it dispatches purely on the wire id;
         called on a subclass it additionally checks the outer layer type.
-
-        With ``lazy=True`` only field *boundaries* are scanned; values
-        materialise on first attribute access.  Structural errors
-        (unknown wire ids, truncation, bad lengths and presence flags;
-        trailing bytes parse as one more layer and fail as one) still
-        raise here, but value-level validation is deferred — so
-        the lazy path is only for bytes this process built itself (the
-        link wire-fidelity round trip), never for untrusted input.
         """
         if type(data) is not bytes:
-            # Lazy layers keep *data*: copy a mutable buffer so that later
-            # writes to it cannot change values not yet decoded.
+            # Bytes fields decode to slices of *data*: a stored value must
+            # not alias a mutable buffer.
             data = bytes(data)
         end = len(data)
-        packet, offset = _parse_layer(data, 0, lazy)
+        packet, offset = _parse_layer(data, 0)
         layer = packet
         while offset < end:
-            inner, offset = _parse_layer(data, offset, lazy)
+            inner, offset = _parse_layer(data, offset)
             layer.__dict__["payload"] = inner
             layer = inner
         if cls is not Packet and not isinstance(packet, cls):
@@ -319,21 +327,18 @@ class Packet:
     def __eq__(self, other: Any) -> bool:
         if type(self) is not type(other):
             return NotImplemented
-        if "_lazy" in self.__dict__:
-            self._materialize()
-        if "_lazy" in other.__dict__:
-            other._materialize()
         return self._values == other._values and self.payload == other.payload
 
     def __hash__(self) -> int:  # pragma: no cover - rarely used
-        if "_lazy" in self.__dict__:
-            self._materialize()
         return hash((type(self), tuple(sorted(self._values.items(), key=lambda kv: kv[0], ))))
 
     def copy(self) -> "Packet":
-        if "_lazy" in self.__dict__:
-            self._materialize()
-        clone = type(self)(**dict(self._values))
+        wire = self.__dict__.get("_wire")
+        if wire is None:
+            clone = type(self)(**dict(self._values))
+        else:
+            # Values and slice come from one decode: nothing to re-check.
+            clone = type(self)._trusted(self._values, wire)
         if self.payload is not None:
             clone.payload = self.payload.copy()
         return clone
@@ -342,8 +347,6 @@ class Packet:
         """Multi-line human-readable dump of the layer chain."""
         lines: List[str] = []
         for depth, layer in enumerate(self.layers()):
-            if "_lazy" in layer.__dict__:
-                layer._materialize()
             pad = "  " * depth
             lines.append(f"{pad}### {layer.name} ###")
             for field in type(layer).fields:
@@ -351,8 +354,6 @@ class Packet:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        if "_lazy" in self.__dict__:
-            self._materialize()
         parts = ", ".join(
             f"{f.name}={self._values[f.name]!r}"
             for f in type(self).fields
@@ -372,7 +373,6 @@ def _int_code(field: Field) -> str:
         isinstance(field, UIntField)
         and kind.encode is UIntField.encode
         and kind.decode is UIntField.decode
-        and kind.skip is UIntField.skip
     ):
         return _UINT_CODES.get(field.size, "")
     return ""
@@ -384,7 +384,7 @@ class _Plan:
     struct step.  Shared by every class declaring the same tuple, as
     interface siblings do."""
 
-    __slots__ = ("correlation", "encoders", "must_set", "scan")
+    __slots__ = ("correlation", "decoders", "defaulted", "encoders", "must_set")
 
     def __init__(self, fields: Sequence[Field]) -> None:
         #: ``(name, stringify)`` for each CORRELATION_FIELDS entry declared.
@@ -399,6 +399,9 @@ class _Plan:
             f.name for f in fields
             if f.default is None and not isinstance(f, OptionalField)
         )
+        #: Fields with a non-``None`` default, which construction puts
+        #: in place of an omitted value.
+        self.defaulted = tuple(f.name for f in fields if f.default is not None)
         groups: List[List[Field]] = []
         for field in fields:
             if groups and _int_code(field) and _int_code(groups[-1][-1]):
@@ -406,7 +409,7 @@ class _Plan:
             else:
                 groups.append([field])
         encoders: List[_EncodeStep] = []
-        scan: List[_ScanStep] = []
+        decoders: List[_DecodeStep] = []
         for group in groups:
             names = tuple(f.name for f in group)
             codes = "".join(_int_code(f) for f in group)
@@ -415,13 +418,13 @@ class _Plan:
                 if run is None:
                     run = _STRUCTS[codes] = struct.Struct(">" + codes)
                 encoders.append((run.pack, itemgetter(*names), len(names) > 1))
-                scan.append((run, names, tuple(group)))
+                decoders.append((run, names, tuple(group)))
             else:
                 field = group[0]
                 encoders.append((field.encode, itemgetter(field.name), False))
-                scan.append((None, names, (field,)))
+                decoders.append((None, names, (field,)))
         self.encoders: Tuple[_EncodeStep, ...] = tuple(encoders)
-        self.scan: Tuple[_ScanStep, ...] = tuple(scan)
+        self.decoders: Tuple[_DecodeStep, ...] = tuple(decoders)
 
 
 #: Plans by field tuple, and fused structs by format, shared between
@@ -433,8 +436,6 @@ _STRUCTS: Dict[str, struct.Struct] = {}
 def _encode_layer(layer: Packet) -> bytes:
     """``[wire_id][fields]`` of one layer through its class's plan."""
     klass = type(layer)
-    if "_lazy" in layer.__dict__:
-        layer._materialize()
     values = layer._values
     plan = klass._plan
     for name in plan.must_set:
@@ -446,7 +447,7 @@ def _encode_layer(layer: Packet) -> bytes:
     return b"".join(parts)
 
 
-def _parse_layer(data: bytes, offset: int, lazy: bool) -> Tuple[Packet, int]:
+def _parse_layer(data: bytes, offset: int) -> Tuple[Packet, int]:
     """Parse the layer at *offset* (not its payload); returns it and the
     offset just past its fields."""
     if offset + 2 > len(data):
@@ -455,33 +456,45 @@ def _parse_layer(data: bytes, offset: int, lazy: bool) -> Tuple[Packet, int]:
     klass = _WIRE_REGISTRY.get(wire_id)
     if klass is None:
         raise PacketError(f"unknown wire id {wire_id}")
-    start = offset
     offset += 2
     values: Dict[str, Any] = {}
-    starts: Dict[str, int] = {}
-    for run, names, fields in klass._plan.scan:
+    for run, names, fields in klass._plan.decoders:
         if run is not None:
             try:
                 values.update(zip(names, run.unpack_from(data, offset)))
             except struct.error:
                 for field in fields:  # raises the truncated field's error
-                    offset = field.skip(data, offset)
+                    offset = field.decode(data, offset)[1]
                 raise
             offset += run.size
-        elif lazy:
-            starts[names[0]] = offset
-            offset = fields[0].skip(data, offset)
         else:
             values[names[0]], offset = fields[0].decode(data, offset)
     packet = klass.__new__(klass)
     state = packet.__dict__
     state["payload"] = None
     state["_values"] = values
-    if lazy:
-        if starts:
-            state["_lazy"] = (data, starts)
-        state["_wire"] = data[start:offset]
     return packet, offset
+
+
+#: Entry bound of the :func:`_decode_layer` memo.  The e2ebench served
+#: round re-encodes about 58 % of its fresh layers to bytes seen before.
+_DECODED_LIMIT = 4096
+
+
+@lru_cache(maxsize=_DECODED_LIMIT)
+def _decode_layer(wire: bytes) -> Tuple[Type[Packet], Dict[str, Any]]:
+    """The class and values that *wire*, one whole layer, decodes to.
+
+    Memoised per process: a decode is a pure function of its bytes, so
+    what the memo holds never shows in any output.  The values dict is
+    shared by every hit, so callers copy it and never mutate it."""
+    layer, end = _parse_layer(wire, 0)
+    if end != len(wire):
+        raise PacketError(
+            f"{type(layer).__name__}: decode consumed {end} of "
+            f"{len(wire)} encoded bytes"
+        )
+    return type(layer), layer._values
 
 
 class Raw(Packet):

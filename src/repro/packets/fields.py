@@ -35,16 +35,6 @@ class Field:
     def decode(self, data: bytes, offset: int) -> Tuple[Any, int]:
         raise NotImplementedError
 
-    def skip(self, data: bytes, offset: int) -> int:
-        """Return the offset just past this field without materialising
-        its value.  Subclasses with self-delimiting encodings override
-        this with a pure boundary scan; the fallback decodes and drops.
-        Used by the lazy parse path (:meth:`Packet.parse` with
-        ``lazy=True``) — structural errors (truncation, bad lengths)
-        still raise here, value-level validation is deferred until the
-        field is first read."""
-        return self.decode(data, offset)[1]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name}>"
 
@@ -74,12 +64,6 @@ class UIntField(Field):
         if end > len(data):
             raise FieldError(f"{self.name}: truncated at offset {offset}")
         return int.from_bytes(data[offset:end], "big"), end
-
-    def skip(self, data: bytes, offset: int) -> int:
-        end = offset + self.size
-        if end > len(data):
-            raise FieldError(f"{self.name}: truncated at offset {offset}")
-        return end
 
 
 class ByteField(UIntField):
@@ -120,11 +104,6 @@ class BoolField(Field):
             raise FieldError(f"{self.name}: bad boolean byte {byte:#x}")
         return bool(byte), offset + 1
 
-    def skip(self, data: bytes, offset: int) -> int:
-        if offset >= len(data):
-            raise FieldError(f"{self.name}: truncated")
-        return offset + 1
-
 
 class EnumField(ByteField):
     """A byte restricted to a named value set."""
@@ -164,14 +143,6 @@ class BytesField(Field):
         if end > len(data):
             raise FieldError(f"{self.name}: truncated body")
         return data[offset + 2 : end], end
-
-    def skip(self, data: bytes, offset: int) -> int:
-        if offset + 2 > len(data):
-            raise FieldError(f"{self.name}: truncated length prefix")
-        end = offset + 2 + int.from_bytes(data[offset : offset + 2], "big")
-        if end > len(data):
-            raise FieldError(f"{self.name}: truncated body")
-        return end
 
 
 class StrField(BytesField):
@@ -279,9 +250,6 @@ class DigitsField(Field):
     def decode(self, data: bytes, offset: int) -> Tuple[str, int]:
         return _unpack_bcd(data, offset, self.name)
 
-    def skip(self, data: bytes, offset: int) -> int:
-        return _skip_bcd(data, offset, self.name)
-
 
 class ImsiField(Field):
     """An :class:`IMSI`, BCD packed."""
@@ -300,9 +268,6 @@ class ImsiField(Field):
     def decode(self, data: bytes, offset: int) -> Tuple[IMSI, int]:
         digits, end = _unpack_bcd(data, offset, self.name)
         return IMSI(digits), end
-
-    def skip(self, data: bytes, offset: int) -> int:
-        return _skip_bcd(data, offset, self.name)
 
 
 class E164Field(Field):
@@ -323,10 +288,6 @@ class E164Field(Field):
         cc, offset = _unpack_bcd(data, offset, self.name + ".cc")
         national, offset = _unpack_bcd(data, offset, self.name + ".national")
         return E164Number(cc, national), offset
-
-    def skip(self, data: bytes, offset: int) -> int:
-        offset = _skip_bcd(data, offset, self.name + ".cc")
-        return _skip_bcd(data, offset, self.name + ".national")
 
 
 class IPv4AddressField(Field):
@@ -349,12 +310,6 @@ class IPv4AddressField(Field):
             raise FieldError(f"{self.name}: truncated")
         return IPv4Address(int.from_bytes(data[offset:end], "big")), end
 
-    def skip(self, data: bytes, offset: int) -> int:
-        end = offset + 4
-        if end > len(data):
-            raise FieldError(f"{self.name}: truncated")
-        return end
-
 
 class TunnelIdField(Field):
     """A GTP v0 TID: BCD IMSI plus one NSAPI byte."""
@@ -375,12 +330,6 @@ class TunnelIdField(Field):
         if offset >= len(data):
             raise FieldError(f"{self.name}: truncated NSAPI")
         return TunnelId(IMSI(digits), data[offset]), offset + 1
-
-    def skip(self, data: bytes, offset: int) -> int:
-        offset = _skip_bcd(data, offset, self.name)
-        if offset >= len(data):
-            raise FieldError(f"{self.name}: truncated NSAPI")
-        return offset + 1
 
 
 class OptionalField(Field):
@@ -410,15 +359,3 @@ class OptionalField(Field):
         if flag != 1:
             raise FieldError(f"{self.name}: bad presence flag {flag:#x}")
         return self.inner.decode(data, offset + 1)
-
-    def skip(self, data: bytes, offset: int) -> int:
-        # The flag is structural (it steers the boundary), so it is
-        # validated here even on the lazy path.
-        if offset >= len(data):
-            raise FieldError(f"{self.name}: truncated presence flag")
-        flag = data[offset]
-        if flag == 0:
-            return offset + 1
-        if flag != 1:
-            raise FieldError(f"{self.name}: bad presence flag {flag:#x}")
-        return self.inner.skip(data, offset + 1)

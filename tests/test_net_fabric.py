@@ -132,6 +132,20 @@ class TestTopology:
             a.peer("test")  # two links on "test"
         assert {p.name for p in a.peers("test")} == {"B", "C"}
 
+    def test_peer_memo_cleared_when_a_second_link_attaches(self, pair):
+        sim, net, a, b = pair
+        assert a.peer("test") is b
+        assert a.peer("test") is b  # memoised
+        net.connect(a, net.add(Echo(sim, "C")), "test", 0.1)
+        with pytest.raises(TopologyError) as ambiguous:
+            a.peer("test")
+        assert str(ambiguous.value) == "'A' has 2 links on 'test', expected 1"
+        with pytest.raises(TopologyError) as absent:
+            a.peer("none")
+        with pytest.raises(TopologyError) as again:
+            a.peer("none")  # the error path is not memoised
+        assert str(absent.value) == str(again.value)
+
     def test_inventory_and_link_table(self, pair):
         _, net, _, _ = pair
         assert ("A", "Caller") in net.inventory()

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import FieldError, PacketError
 from repro.gsm.relay import rename_packet
 from repro.identities import IMSI, E164Number, IPv4Address, TunnelId
-from repro.packets.base import _WIRE_REGISTRY, Packet, Raw
+from repro.packets.base import _WIRE_REGISTRY, Packet, Raw, _decode_layer
 from repro.packets.bssap import (
     AuthenticationRequest,
     TchFrame,
@@ -252,33 +252,54 @@ def _changed_value(field, value):
     return None
 
 
+def _received(frame):
+    """*frame* as a wire-fidelity link delivers it."""
+    return frame.wire_copy()[0]
+
+
 @pytest.mark.parametrize("pkt", PROTO_SAMPLES, ids=lambda p: type(p).__name__)
 class TestLazyParse:
-    """``parse(lazy=True)`` is what every wire-fidelity link hop runs."""
+    """The link round trip, ``Packet.wire_copy``, which every
+    wire-fidelity hop runs.  The class and test names are those of the
+    lazy parse it replaced."""
 
     def test_lazy_equals_eager(self, pkt):
         for frame in (pkt, _tunnelled(pkt)):
             wire = frame.build()
-            lazy = Packet.parse(wire, lazy=True)
-            assert lazy == Packet.parse(wire) == frame
-            assert lazy.build() == wire
-            assert lazy.trace_info() == frame.trace_info()
-            assert lazy.flow_name() == frame.flow_name()
+            _decode_layer.cache_clear()
+            for _memo in ("miss", "hit"):
+                copy, nbytes = frame.wire_copy()
+                assert copy == Packet.parse(wire) == frame
+                assert nbytes == len(wire)
+                assert copy.build() == wire
+                assert copy.trace_info() == frame.trace_info()
+                assert copy.flow_name() == frame.flow_name()
+            # The next hop clones the received slices.
+            relayed, nbytes = copy.wire_copy()
+            assert relayed == frame and nbytes == len(wire)
+            assert relayed.build() == wire
 
     def test_structural_errors_raise_at_lazy_parse(self, pkt):
-        wire = _tunnelled(pkt).build()
+        """Bytes of one layer that do not decode raise from the round
+        trip's decode as from ``Packet.parse``, and are not memoised."""
+        wire = pkt.build()
         bad = [wire[:cut] for cut in range(len(wire))]
-        bad += [wire + b"\x00", wire + b"\x00\x01", b"\xff\xff" + wire[2:]]
-        inner_at = len(wire) - len(pkt.build())
+        bad.append(b"\xff\xff" + wire[2:])
         for name, offset in _field_offsets(pkt).items():
             if isinstance(type(pkt)._field_map[name], OptionalField):
-                at = inner_at + offset
-                bad.append(wire[:at] + b"\x02" + wire[at + 1 :])
+                bad.append(wire[:offset] + b"\x02" + wire[offset + 1 :])
+        _decode_layer.cache_clear()
         for data in bad:
-            lazy = _outcome(lambda d: Packet.parse(d, lazy=True), data)
-            assert lazy == _outcome(Packet.parse, data), data
+            assert _outcome(_decode_layer, data) == _outcome(Packet.parse, data)
+        for extra in (b"\x00", b"\x00\x01"):
+            with pytest.raises(PacketError, match=f"^{type(pkt).__name__}: "):
+                _decode_layer(wire + extra)
+        assert _decode_layer.cache_info().currsize == 0
 
     def test_value_errors_deferred_to_first_read(self, pkt):
+        """The lazy parse deferred a value error to the field's first
+        read.  The round trip defers nothing: a corrupt value raises at
+        its decode, with the eager message."""
         wire = pkt.build()
         cases = []
         for name, offset in _field_offsets(pkt).items():
@@ -288,18 +309,15 @@ class TestLazyParse:
                     continue
                 field, offset = field.inner, offset + 1
             if isinstance(field, BoolField):
-                cases.append((name, offset, 0x07))
+                cases.append((offset, 0x07))
             elif isinstance(field, (DigitsField, ImsiField, E164Field,
                                     TunnelIdField)) and wire[offset]:
-                cases.append((name, offset + 1, 0xAA))
-        for name, at, byte in cases:
+                cases.append((offset + 1, 0xAA))
+        for at, byte in cases:
             data = wire[:at] + bytes([byte]) + wire[at + 1 :]
             eager = _outcome(Packet.parse, data)
             assert eager[0] is FieldError
-            lazy = Packet.parse(data, lazy=True)  # does not raise
-            with pytest.raises(FieldError) as read:
-                getattr(lazy, name)
-            assert str(read.value) == eager[1]
+            assert _outcome(_decode_layer, data) == eager
 
     def test_assignment_after_lazy_parse_changes_build(self, pkt):
         wire = pkt.build()
@@ -308,23 +326,40 @@ class TestLazyParse:
             new = _changed_value(field, getattr(pkt, field.name))
             if new is None:
                 continue
-            lazy = Packet.parse(wire, lazy=True)
-            setattr(lazy, field.name, new)
+            received = _received(pkt)
+            setattr(received, field.name, new)
             expected = pkt.copy()
             setattr(expected, field.name, new)
-            assert lazy.build() == expected.build() != wire
+            assert received.build() == expected.build() != wire
+            assert _received(received) == expected
             changed += 1
         assert changed
 
     def test_payload_reassignment_is_honoured(self, pkt):
-        lazy = Packet.parse(pkt.build(), lazy=True)
-        lazy.payload = Raw(data=b"tail")
-        assert lazy.build() == (pkt.copy() / Raw(data=b"tail")).build()
-        frame = Packet.parse(_tunnelled(pkt).build(), lazy=True)
+        received = _received(pkt)
+        received.payload = Raw(data=b"tail")
+        expected = pkt.copy() / Raw(data=b"tail")
+        assert received.build() == expected.build()
+        assert _received(received) == expected
+        frame = _received(_tunnelled(pkt))
         frame.get_layer(GtpHeader).payload = Raw(data=b"swap")
         expected = _tunnelled(pkt)
         expected.get_layer(GtpHeader).payload = Raw(data=b"swap")
         assert frame.build() == expected.build()
+
+    def test_copy_of_received_frame_keeps_its_slices(self, pkt):
+        frame = _received(_tunnelled(pkt))
+        copy = frame.copy()
+        assert copy == frame == _tunnelled(pkt)
+        assert all("_wire" in layer.__dict__ for layer in copy.layers())
+        assert copy.build() == frame.build()
+        for field in type(pkt).fields:
+            new = _changed_value(field, getattr(pkt, field.name))
+            if new is not None:
+                setattr(copy.innermost(), field.name, new)
+                assert frame == _tunnelled(pkt)
+                assert copy.build() != frame.build()
+                break
 
     def test_renamed_clone_builds_with_its_own_wire_id(self, pkt):
         target = next(
@@ -332,20 +367,50 @@ class TestLazyParse:
              if cls.fields is type(pkt).fields and cls is not type(pkt)),
             type(pkt),
         )
-        lazy = Packet.parse(pkt.build(), lazy=True)
-        clone = rename_packet(lazy, target)
-        wire = clone.build()
-        assert wire[:2] == target.wire_id.to_bytes(2, "big")
-        assert wire[2:] == pkt.build()[2:]
-        assert type(Packet.parse(wire)) is target
+        constructed = target(**{
+            name: value for name, value in pkt._values.items()
+            if value is not None
+        })
+        for source in (pkt, _received(pkt)):
+            clone = rename_packet(source, target)
+            assert clone == constructed
+            wire = clone.build()
+            assert wire == constructed.build()
+            assert wire[:2] == target.wire_id.to_bytes(2, "big")
+            assert wire[2:] == pkt.build()[2:]
+            assert type(Packet.parse(wire)) is target
+            assert _received(clone) == Packet.parse(wire)
 
     def test_parse_accepts_bytearray(self, pkt):
         wire = _tunnelled(pkt).build()
-        for lazy in (False, True):
-            back = Packet.parse(bytearray(wire), lazy=lazy)
-            assert back == _tunnelled(pkt)
-            built = back.build()
-            assert type(built) is bytes and built == wire
+        back = Packet.parse(bytearray(wire))
+        assert back == _tunnelled(pkt)
+        built = back.build()
+        assert type(built) is bytes and built == wire
+        assert _received(back).build() == wire
+
+
+def test_rename_keeps_constructor_defaults_for_unset_values():
+    """Siblings share a plan, but a ``None`` value still meets the
+    target's non-``None`` default as construction would have it."""
+
+    class NoneOrDigits(DigitsField):
+        def validate(self, value):
+            return value if value is None else super().validate(value)
+
+    tag_fields = (NoneOrDigits("tag", "12"),)
+
+    class SiblingA(Packet):
+        name = "SIBLING_A"
+        fields = tag_fields
+
+    class SiblingB(Packet):
+        name = "SIBLING_B"
+        fields = tag_fields
+
+    assert SiblingA._plan is SiblingB._plan
+    assert rename_packet(SiblingA(tag=None), SiblingB).tag == "12"
+    assert rename_packet(SiblingA(tag="7"), SiblingB).tag == "7"
 
 
 def test_wire_ids_unique_across_registry():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import AddressError, PacketError
 from repro.identities import IMSI, E164Number, IPv4Address, TunnelId
-from repro.packets.base import _WIRE_REGISTRY, Packet
+from repro.packets.base import _WIRE_REGISTRY, Packet, _decode_layer
 from repro.packets.bssap import UmSetup
 from repro.packets.fields import (
     BoolField,
@@ -224,10 +224,9 @@ def reference_build(packet):
     return out
 
 
-def reference_decode(data, scan_only=False):
+def reference_decode(data):
     """Field-by-field parse of *data* into ``[(class, {name: value})]``,
-    or the error as ``(type, message)``.  With *scan_only* it runs the
-    boundary scan of the lazy path and records no values."""
+    or the error as ``(type, message)``."""
     try:
         layers, offset = [], 0
         while offset < len(data) or not layers:
@@ -240,26 +239,21 @@ def reference_decode(data, scan_only=False):
             offset += 2
             values = {}
             for field in cls.fields:
-                if scan_only:
-                    offset = field.skip(data, offset)
-                else:
-                    values[field.name], offset = field.decode(data, offset)
+                values[field.name], offset = field.decode(data, offset)
             layers.append((cls, values))
         return layers
     except (PacketError, AddressError) as exc:
         return type(exc), str(exc)
 
 
-def compiled_decode(data, lazy=False):
+def compiled_decode(data):
     """``Packet.parse`` in the shape of :func:`reference_decode`."""
     try:
-        packet = Packet.parse(data, lazy=lazy)
+        packet = Packet.parse(data)
     except (PacketError, AddressError) as exc:
         return type(exc), str(exc)
     return [
-        (type(layer), {} if lazy else {
-            f.name: getattr(layer, f.name) for f in type(layer).fields
-        })
+        (type(layer), {f.name: getattr(layer, f.name) for f in type(layer).fields})
         for layer in packet.layers()
     ]
 
@@ -275,14 +269,21 @@ class TestCompiledCodecOracle:
     @given(packet_st)
     @settings(max_examples=150)
     def test_eager_and_lazy_parse_agree_and_rebuild(self, packet):
+        """The link round trip (named for the lazy parse it replaced)
+        against the eager parse, with its memo cold, warm, and on a
+        copy that re-emits received slices."""
         wire = packet.build()
         eager = Packet.parse(wire)
-        lazy = Packet.parse(wire, lazy=True)
-        assert eager == lazy == packet
+        _decode_layer.cache_clear()
+        cold, nbytes = packet.wire_copy()
+        warm, _ = packet.wire_copy()
+        relayed, _ = cold.wire_copy()
+        assert eager == cold == warm == relayed == packet
+        assert nbytes == len(wire)
         assert compiled_decode(wire) == reference_decode(wire)
         # build(parse(w)) == w is what makes relayed-slice reuse sound.
         assert eager.build() == wire
-        assert Packet.parse(wire, lazy=True).build() == wire
+        assert cold.build() == warm.build() == relayed.build() == wire
 
     @given(packet_st, st.sampled_from([0x00, 0x01, 0x02, 0xAA, 0xFF]))
     @settings(max_examples=60)
@@ -292,9 +293,6 @@ class TestCompiledCodecOracle:
         bad += [wire[:i] + bytes([byte]) + wire[i + 1 :] for i in range(len(wire))]
         for data in bad:
             assert compiled_decode(data) == reference_decode(data), data
-            assert compiled_decode(data, lazy=True) == reference_decode(
-                data, scan_only=True
-            ), data
 
 
 class TestIdentityProperties:
