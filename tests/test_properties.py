@@ -269,9 +269,8 @@ class TestCompiledCodecOracle:
     @given(packet_st)
     @settings(max_examples=150)
     def test_eager_and_lazy_parse_agree_and_rebuild(self, packet):
-        """The link round trip (named for the lazy parse it replaced)
-        against the eager parse, with its memo cold, warm, and on a
-        copy that re-emits received slices."""
+        """The link round trip against the eager parse, with its memo
+        cold, warm, and on a copy that re-emits received slices."""
         wire = packet.build()
         eager = Packet.parse(wire)
         _decode_layer.cache_clear()
