@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import CallSetupError, ProtocolError
 from repro.identities import IMSI, E164Number, IPv4Address, as_e164
-from repro.core.network import GK_IP, LatencyProfile, TERMINAL_IP_BASE
+from repro.core.network import GK_IP, LatencyProfile, attach_terminal
 from repro.gprs.gb import GbUnitdata
 from repro.gprs.ggsn import Ggsn
 from repro.gprs.pdp import NSAPI_SIGNALLING
@@ -346,18 +346,8 @@ class Tgtr3Network:
         return sgsn, bsc, bts
 
     def add_terminal(self, name: str, alias: str, answer_delay: float = 1.0) -> H323Terminal:
-        self._terminal_count += 1
-        ip = IPv4Address(TERMINAL_IP_BASE.value + self._terminal_count)
-        terminal = H323Terminal(
-            self.sim, name, ip=ip, alias=E164Number.parse(alias),
-            gk_ip=self.gk.ip, answer_delay=answer_delay,
-        )
-        self.net.add(terminal)
-        self.net.connect(terminal, self.cloud, Interface.IP, self.latencies.ip,
-                         wire_fidelity=True)
-        terminal.register()
-        self.terminals[name] = terminal
-        return terminal
+        return attach_terminal(self, name, alias, answer_delay,
+                               wire_fidelity=True)
 
 
 def build_3gtr_network(

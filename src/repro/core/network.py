@@ -9,7 +9,7 @@ experiments can sweep network conditions reproducibly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import TopologyError
 from repro.identities import IMSI, E164Number, IPv4Address
@@ -74,6 +74,32 @@ class LatencyProfile:
 GK_IP = IPv4Address.parse("192.0.2.1")
 GATEWAY_IP = IPv4Address.parse("192.0.2.5")
 TERMINAL_IP_BASE = IPv4Address.parse("192.0.2.10")
+
+
+def attach_terminal(
+    nw: Any, name: str, alias: str, answer_delay: float, wire_fidelity: bool
+) -> H323Terminal:
+    """Attach an H.323 terminal to *nw*'s IP cloud and register it with
+    the gatekeeper: the ``add_terminal`` of the vGPRS and 3G TR
+    networks."""
+    nw._terminal_count += 1
+    ip = IPv4Address(TERMINAL_IP_BASE.value + nw._terminal_count)
+    terminal = H323Terminal(
+        nw.sim,
+        name,
+        ip=ip,
+        alias=E164Number.parse(alias),
+        gk_ip=nw.gk.ip,
+        answer_delay=answer_delay,
+    )
+    nw.net.add(terminal)
+    nw.net.connect(
+        terminal, nw.cloud, Interface.IP, nw.latencies.ip,
+        wire_fidelity=wire_fidelity,
+    )
+    terminal.register()
+    nw.terminals[name] = terminal
+    return terminal
 
 
 @dataclass
@@ -156,27 +182,9 @@ class VgprsNetwork:
         self, name: str, alias: str, answer_delay: float = 1.0
     ) -> H323Terminal:
         """Attach an H.323 terminal to the IP cloud."""
-        self._terminal_count += 1
-        ip = IPv4Address(TERMINAL_IP_BASE.value + self._terminal_count)
-        terminal = H323Terminal(
-            self.sim,
-            name,
-            ip=ip,
-            alias=E164Number.parse(alias),
-            gk_ip=self.gk.ip,
-            answer_delay=answer_delay,
+        return attach_terminal(
+            self, name, alias, answer_delay, self.wire_fidelity
         )
-        self.net.add(terminal)
-        self.net.connect(
-            terminal, self.cloud, Interface.IP, self.latencies.ip,
-            wire_fidelity=self.wire_fidelity,
-        )
-        terminal.register()
-        return self._remember_terminal(name, terminal)
-
-    def _remember_terminal(self, name: str, terminal: H323Terminal) -> H323Terminal:
-        self.terminals[name] = terminal
-        return terminal
 
     def add_phone(
         self, name: str, number: str, answer_delay: float = 1.0

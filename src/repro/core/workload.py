@@ -1,7 +1,10 @@
-"""Random call workloads.
+"""Random call workloads: one call procedure, two workloads that run it.
 
-Two drivers share this module:
-
+* :func:`run_call` — one call as a process: dial, wait for connect,
+  hold, hang up, wait for the handset to come back.  The MS dials MO
+  calls; the peer — an H.323 terminal (Figures 5-6) or, for the Figure 7
+  tromboning direction, a PSTN phone — dials MT calls.  Outcomes land in
+  :class:`WorkloadStats`, including a setup or a release that timed out.
 * :class:`CallWorkload` — the *closed-loop* soak harness: each pair
   draws its next Poisson arrival only after its previous call finished,
   so offered load backs off when the system slows down.
@@ -22,12 +25,13 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.core.network import VgprsNetwork
 from repro.errors import SimulationError
 from repro.gsm.ms import MobileStation
 from repro.h323.terminal import H323Terminal
+from repro.pstn.phone import PstnPhone
 from repro.sim.process import Signal, spawn, wait_for
 
 
@@ -40,6 +44,10 @@ class WorkloadStats:
     connected: int = 0
     failed: int = 0
     skipped_busy: int = 0
+    #: Failed setups whose connect wait expired or left the MS not idle.
+    setup_timeouts: int = 0
+    #: Connected calls whose MS was neither idle nor off 10 s after hang-up.
+    release_timeouts: int = 0
 
     @property
     def attempted(self) -> int:
@@ -48,6 +56,86 @@ class WorkloadStats:
     @property
     def completion_ratio(self) -> float:
         return self.connected / self.attempted if self.attempted else 0.0
+
+    def count_attempt(self, mt: bool) -> None:
+        if mt:
+            self.attempted_mt += 1
+        else:
+            self.attempted_mo += 1
+
+
+def signal_wait(signal: Signal, predicate: Callable[[], bool], timeout: float):
+    """Wait until a pulse of *signal* finds *predicate* true, or
+    *timeout* simulated seconds pass."""
+    yield wait_for(signal, predicate, timeout)
+
+
+def poll_wait(signal: Signal, predicate: Callable[[], bool], timeout: float):
+    """The same wait by re-checking *predicate* every 50 ms: the
+    reference that :func:`signal_wait` must match trace for trace."""
+    waited = 0.0
+    while not predicate() and waited < timeout:
+        yield 0.05
+        waited += 0.05
+
+
+def run_call(ms: MobileStation, peer: Any, mt: bool, hold: float,
+             stats: WorkloadStats, talk: bool,
+             wait: Callable[..., Generator] = signal_wait):
+    """One call between *ms* and *peer*, as a process body.
+
+    *peer* is an :class:`H323Terminal` or, on the Figure 7 topology, a
+    :class:`PstnPhone` that dials the roamer (MT only).  A terminal
+    call waits 15 s to connect; a phone call waits 20 s, carries no
+    talk, and the phone abandons a failed setup.  The terminal hangs up
+    the calls it placed, the MS all others.  Returns whether the dial
+    was accepted: a refused dial counts as failed, not as attempted."""
+    phone = isinstance(peer, PstnPhone)
+    try:
+        ref = peer.place_call(ms.msisdn) if mt else ms.place_call(peer.alias)
+    except Exception:
+        stats.failed += 1
+        return False
+    stats.count_attempt(mt)
+    by_terminal = mt and not phone
+
+    def connected() -> bool:
+        if by_terminal:
+            call = peer.calls.get(ref)
+            return call is not None and call.state == "in-call"
+        return ms.state == "in-call"
+
+    def ready() -> bool:
+        if by_terminal:
+            return ref not in peer.calls or connected()
+        return connected() or (not mt and ms.state == "idle")
+
+    signal = peer.calls_changed if by_terminal else ms.state_changed
+    yield from wait(signal, ready, 20.0 if phone else 15.0)
+    if not connected():
+        stats.failed += 1
+        if not ready() or ms.state != "idle":
+            stats.setup_timeouts += 1
+        if phone and peer.state in ("calling", "ringing-remote"):
+            peer.hangup()
+        return True
+    stats.connected += 1
+    if talk and by_terminal:
+        peer.start_talking(ref, duration=hold)
+    elif talk and not phone:
+        ms.start_talking(duration=hold)
+    yield hold
+    if by_terminal:
+        if ref in peer.calls:
+            peer.hangup(ref)
+    elif ms.state == "in-call":
+        ms.hangup()
+    yield from wait(
+        ms.state_changed, lambda: ms.state in ("idle", "off"), 10.0
+    )
+    if ms.state not in ("idle", "off"):
+        stats.release_timeouts += 1
+    return True
 
 
 @dataclass
@@ -66,9 +154,9 @@ class CallWorkload:
         Generate voice frames during each call.
     use_signals:
         Block on ``Signal`` pulses from the MS/terminal state machines
-        instead of polling every 50 ms.  Event-driven waits cut the
-        workload's own event count by an order of magnitude on soak runs;
-        the polling path is kept for A/B determinism checks.
+        (:func:`signal_wait`); ``False`` polls every 50 ms instead
+        (:func:`poll_wait`), the reference path that determinism tests
+        compare the event-driven waits against.
     media:
         ``"fluid"`` (default) models talk spurts analytically — one
         calibration probe and one flush per spurt instead of an event
@@ -107,13 +195,16 @@ class CallWorkload:
         s = self.stats
         return (
             f"calls={s.attempted} ok={s.connected} fail={s.failed} "
-            f"busy={s.skipped_busy} ratio={s.completion_ratio:.2f}"
+            f"busy={s.skipped_busy} setup_to={s.setup_timeouts} "
+            f"release_to={s.release_timeouts} "
+            f"ratio={s.completion_ratio:.2f}"
         )
 
     # ------------------------------------------------------------------
     def _pair_loop(self, ms: MobileStation, term: H323Terminal):
         sim = self.nw.sim
         rng = sim.rng.stream(f"workload.{ms.name}")
+        wait = signal_wait if self.use_signals else poll_wait
         while True:
             yield rng.expovariate(self.call_rate)
             mt = rng.random() < self.mt_fraction
@@ -121,69 +212,13 @@ class CallWorkload:
                 self.stats.skipped_busy += 1
                 continue
             hold = rng.uniform(*self.hold_range)
-            if mt:
-                self.stats.attempted_mt += 1
-                yield from self._run_mt(ms, term, hold)
-            else:
-                self.stats.attempted_mo += 1
-                yield from self._run_mo(ms, term, hold)
-
-    def _wait(self, predicate, timeout: float, signal: Signal):
-        """Suspend until *predicate* holds or *timeout* elapses.
-
-        Event-driven (one wake-up per relevant state change) when
-        ``use_signals``; otherwise the legacy 50 ms polling loop."""
-        if self.use_signals:
-            yield wait_for(signal, predicate, timeout)
-            return
-        waited = 0.0
-        while not predicate() and waited < timeout:
-            yield 0.05
-            waited += 0.05
-
-    def _run_mo(self, ms: MobileStation, term: H323Terminal, hold: float):
-        try:
-            ms.place_call(term.alias)
-        except Exception:
-            self.stats.failed += 1
-            return
-        yield from self._wait(
-            lambda: ms.state in ("in-call", "idle"), 15.0, ms.state_changed
-        )
-        if ms.state != "in-call":
-            self.stats.failed += 1
-            return
-        self.stats.connected += 1
-        if self.talk:
-            ms.start_talking(duration=hold)
-        yield hold
-        if ms.state == "in-call":
-            ms.hangup()
-        yield from self._wait(lambda: ms.state == "idle", 10.0, ms.state_changed)
-
-    def _run_mt(self, ms: MobileStation, term: H323Terminal, hold: float):
-        try:
-            ref = term.place_call(ms.msisdn)
-        except Exception:
-            self.stats.failed += 1
-            return
-        yield from self._wait(
-            lambda: ref not in term.calls
-            or term.calls[ref].state == "in-call",
-            15.0,
-            term.calls_changed,
-        )
-        call = term.calls.get(ref)
-        if call is None or call.state != "in-call":
-            self.stats.failed += 1
-            return
-        self.stats.connected += 1
-        if self.talk:
-            term.start_talking(ref, duration=hold)
-        yield hold
-        if ref in term.calls:
-            term.hangup(ref)
-        yield from self._wait(lambda: ms.state == "idle", 10.0, ms.state_changed)
+            dialled = yield from run_call(
+                ms, term, mt, hold, self.stats, self.talk, wait
+            )
+            if not dialled:
+                # Closed-loop accounting: every arrival that found the
+                # pair free is an attempt, refused or not.
+                self.stats.count_attempt(mt)
 
 
 def build_population(
@@ -219,8 +254,8 @@ def build_classic_population(
     """Provision *size* roamer/phone pairs on a
     :class:`~repro.core.baseline_gsm.ClassicRoamingNetwork` — the
     Figure 7 world, where every delivered call trombones through two
-    international trunks.  Pairs feed :class:`OpenLoopWorkload` with
-    ``classic=True`` (PSTN phone dials the roamer)."""
+    international trunks.  Fed to :class:`OpenLoopWorkload`, every
+    arrival is the PSTN phone dialling the roamer."""
     pairs = []
     for i in range(size):
         ms = nw.add_roamer(
@@ -365,8 +400,8 @@ class OpenLoopWorkload:
     function of ``(seed, profile)`` and is byte-identical between batch
     runs and paced serve runs at any ``--rate``.
 
-    With ``classic=True`` the pairs are ``(roamer MS, PSTN phone)`` on
-    the Figure 7 classic-GSM topology and every arrival is a
+    When the peers are PSTN phones (:func:`build_classic_population`
+    on the Figure 7 classic-GSM topology) every arrival is a
     phone-to-roamer call — the tromboning direction, seizing two
     international trunks per call.
     """
@@ -378,19 +413,22 @@ class OpenLoopWorkload:
     mt_fraction: float = 0.4
     talk: bool = False
     media: str = "fluid"
-    classic: bool = False
     stats: OpenLoopStats = field(default_factory=OpenLoopStats)
     #: Admitted arrivals: ``(t, ms_name, kind, hold)`` — the determinism
     #: witness compared across batch/served/paced runs.
     arrivals: List[Tuple[float, str, str, float]] = field(default_factory=list)
     admitting: bool = True
     _active: int = 0
+    _classic: bool = field(default=False, init=False)
     _procs: list = field(default_factory=list)
     _arrival_proc: Any = None
 
     def start(self) -> None:
         sim = self.nw.sim
-        if self.talk and not self.classic:
+        self._classic = any(
+            isinstance(peer, PstnPhone) for _ms, peer in self.pairs
+        )
+        if self.talk and not self._classic:
             from repro.core.sweeps import apply_media
 
             apply_media(sim, self.media)
@@ -425,6 +463,7 @@ class OpenLoopWorkload:
         return (
             f"offered={s.offered} ok={s.connected} fail={s.failed} "
             f"busy={s.blocked_busy} active={self._active} "
+            f"setup_to={s.setup_timeouts} release_to={s.release_timeouts} "
             f"rereg={s.reregistrations}"
         )
 
@@ -450,7 +489,8 @@ class OpenLoopWorkload:
                 continue
             self.stats.offered += 1
             metrics.counter("openloop.offered").inc()
-            mt = True if self.classic else rng.random() < self.mt_fraction
+            # Classic skips the direction draw: every call is MT.
+            mt = self._classic or rng.random() < self.mt_fraction
             hold = rng.uniform(*self.hold_range)
             pair = self._pick_pair(rng, mt)
             if pair is None:
@@ -462,13 +502,7 @@ class OpenLoopWorkload:
             self.arrivals.append((sim.now, ms.name, kind, hold))
             self.stats.admitted += 1
             metrics.counter("openloop.admitted").inc()
-            if self.classic:
-                body = self._call_classic(ms, peer, hold)
-            elif mt:
-                body = self._call_mt(ms, peer, hold)
-            else:
-                body = self._call_mo(ms, peer, hold)
-            self._procs.append(spawn(sim, body))
+            self._procs.append(spawn(sim, self._call(ms, peer, mt, hold)))
             self._procs = [p for p in self._procs if not p.finished]
 
     def _pick_pair(self, rng, mt: bool) -> Optional[tuple]:
@@ -478,7 +512,7 @@ class OpenLoopWorkload:
         for ms, peer in self.pairs:
             if ms.state != "idle" or not ms.registered:
                 continue
-            if self.classic:
+            if self._classic:
                 if peer.state != "idle":
                     continue
             elif not mt and peer.calls:
@@ -491,108 +525,15 @@ class OpenLoopWorkload:
     # ------------------------------------------------------------------
     # One-shot call processes
     # ------------------------------------------------------------------
-    def _call_mo(self, ms: MobileStation, term: H323Terminal, hold: float):
-        self._begin()
-        try:
-            try:
-                ms.place_call(term.alias)
-            except Exception:
-                self.stats.failed += 1
-                return
-            self.stats.attempted_mo += 1
-            yield wait_for(
-                ms.state_changed,
-                lambda: ms.state in ("in-call", "idle"),
-                15.0,
-            )
-            if ms.state != "in-call":
-                self.stats.failed += 1
-                return
-            self.stats.connected += 1
-            if self.talk:
-                ms.start_talking(duration=hold)
-            yield hold
-            if ms.state == "in-call":
-                ms.hangup()
-            yield wait_for(
-                ms.state_changed,
-                lambda: ms.state in ("idle", "off"),
-                10.0,
-            )
-        finally:
-            self._end()
-
-    def _call_mt(self, ms: MobileStation, term: H323Terminal, hold: float):
-        self._begin()
-        try:
-            try:
-                ref = term.place_call(ms.msisdn)
-            except Exception:
-                self.stats.failed += 1
-                return
-            self.stats.attempted_mt += 1
-            yield wait_for(
-                term.calls_changed,
-                lambda: ref not in term.calls
-                or term.calls[ref].state == "in-call",
-                15.0,
-            )
-            call = term.calls.get(ref)
-            if call is None or call.state != "in-call":
-                self.stats.failed += 1
-                return
-            self.stats.connected += 1
-            if self.talk:
-                term.start_talking(ref, duration=hold)
-            yield hold
-            if ref in term.calls:
-                term.hangup(ref)
-            yield wait_for(
-                ms.state_changed,
-                lambda: ms.state in ("idle", "off"),
-                10.0,
-            )
-        finally:
-            self._end()
-
-    def _call_classic(self, ms: MobileStation, phone: Any, hold: float):
-        """Figure 7 direction: the PSTN phone dials the roamer; every
-        delivered call trombones over two international circuits."""
-        self._begin()
-        try:
-            try:
-                phone.place_call(ms.msisdn)
-            except Exception:
-                self.stats.failed += 1
-                return
-            self.stats.attempted_mt += 1
-            yield wait_for(
-                ms.state_changed, lambda: ms.state == "in-call", 20.0
-            )
-            if ms.state != "in-call":
-                self.stats.failed += 1
-                if phone.state in ("calling", "ringing-remote"):
-                    phone.hangup()
-                return
-            self.stats.connected += 1
-            yield hold
-            if ms.state == "in-call":
-                ms.hangup()
-            yield wait_for(
-                ms.state_changed,
-                lambda: ms.state in ("idle", "off"),
-                10.0,
-            )
-        finally:
-            self._end()
-
-    def _begin(self) -> None:
+    def _call(self, ms: MobileStation, peer: Any, mt: bool, hold: float):
+        gauge = self.nw.sim.metrics.gauge("openloop.active_calls")
         self._active += 1
-        self.nw.sim.metrics.gauge("openloop.active_calls").inc()
-
-    def _end(self) -> None:
-        self._active -= 1
-        self.nw.sim.metrics.gauge("openloop.active_calls").dec()
+        gauge.inc()
+        try:
+            yield from run_call(ms, peer, mt, hold, self.stats, self.talk)
+        finally:
+            self._active -= 1
+            gauge.dec()
 
     # ------------------------------------------------------------------
     # Mass re-registration avalanche

@@ -218,7 +218,6 @@ def build_serve_run(
         mt_fraction=args.mt_fraction,
         talk=args.talk,
         media=args.media,
-        classic=args.topology == "classic",
     )
 
     obs.heartbeat_extra = workload.progress_line

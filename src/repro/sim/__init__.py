@@ -6,7 +6,7 @@ This package provides the substrate every network element runs on:
 * :class:`~repro.sim.events.EventQueue` — deterministic priority queue;
 * :class:`~repro.sim.timers.Timer` — restartable protocol timers;
 * :class:`~repro.sim.rng.RandomStreams` — named deterministic RNG streams;
-* :class:`~repro.sim.process.Signal` / :class:`~repro.sim.process.Condition`
+* :class:`~repro.sim.process.Signal` / :func:`~repro.sim.process.wait_for`
   — event-driven waits for generator processes (no polling loops);
 * :class:`~repro.sim.trace.TraceRecorder` — message-sequence capture used
   to validate the paper's figures;
@@ -21,7 +21,7 @@ All timestamps are floats in **seconds** of simulated time.
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.sim.process import Condition, Process, Signal, spawn, wait_for
+from repro.sim.process import Process, Signal, spawn, wait_for
 from repro.sim.rng import RandomStreams
 from repro.sim.sweep import SweepPoint, SweepResult, run_sweep, sweep_grid
 from repro.sim.timers import Timer
@@ -45,7 +45,6 @@ __all__ = [
     "MetricsRegistry",
     "Process",
     "Signal",
-    "Condition",
     "wait_for",
     "spawn",
 ]

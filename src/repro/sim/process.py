@@ -29,7 +29,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Union
+from typing import Callable, Generator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -78,20 +78,6 @@ class Signal:
         return f"<Signal {self.name or id(self)} subs={len(self._subscribers)}>"
 
 
-class Condition:
-    """A predicate over mutable state paired with the :class:`Signal`
-    that announces changes to that state."""
-
-    __slots__ = ("signal", "predicate")
-
-    def __init__(self, signal: Signal, predicate: Callable[[], bool]) -> None:
-        self.signal = signal
-        self.predicate = predicate
-
-    def wait(self, timeout: Optional[float] = None) -> "Wait":
-        return Wait(self.signal, self.predicate, timeout)
-
-
 class Wait:
     """Yieldable wait request: suspend until *predicate* holds (checked
     at each *signal* pulse) or *timeout* simulated seconds elapse.
@@ -112,20 +98,14 @@ class Wait:
 
 
 def wait_for(
-    condition: Union[Signal, Condition],
+    signal: Signal,
     predicate: Optional[Callable[[], bool]] = None,
     timeout: Optional[float] = None,
 ) -> Wait:
-    """Build a wait request for ``yield`` inside a process.
-
-    *condition* is a :class:`Signal` (optionally with a *predicate* to
-    re-check on each pulse) or a :class:`Condition`.  Without a
-    predicate the process wakes on the next pulse."""
-    if isinstance(condition, Condition):
-        if predicate is not None:
-            raise SimulationError("Condition already carries a predicate")
-        return Wait(condition.signal, condition.predicate, timeout)
-    return Wait(condition, predicate, timeout)
+    """Build a wait request for ``yield`` inside a process: wake once a
+    *signal* pulse finds *predicate* true (without a predicate, on the
+    next pulse), or after *timeout* simulated seconds."""
+    return Wait(signal, predicate, timeout)
 
 
 class Process:

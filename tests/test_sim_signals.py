@@ -1,10 +1,10 @@
-"""Unit tests for event-driven process synchronisation (Signal/Condition)."""
+"""Unit tests for event-driven process synchronisation (Signal/wait_for)."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
-from repro.sim.process import Condition, Signal, spawn, wait_for
+from repro.sim.process import Signal, spawn, wait_for
 
 
 class TestSignal:
@@ -133,32 +133,6 @@ class TestWaitFor:
         sig.fire()  # must not resurrect the process
         sim.run()
         assert p.finished
-
-    def test_condition_wait(self):
-        sim = Simulator()
-        sig = Signal("s")
-        state = {"ready": False}
-        cond = Condition(sig, lambda: state["ready"])
-        log = []
-
-        def flip():
-            state["ready"] = True
-            sig.fire()
-
-        def proc():
-            yield cond.wait()
-            log.append(sim.now)
-
-        spawn(sim, proc())
-        sim.schedule(1.0, sig.fire)  # spurious: predicate still false
-        sim.schedule(2.0, flip)
-        sim.run()
-        assert log == [2.0]
-
-    def test_condition_plus_predicate_rejected(self):
-        cond = Condition(Signal("s"), lambda: True)
-        with pytest.raises(SimulationError):
-            wait_for(cond, lambda: True)
 
     def test_bad_yield_type_rejected(self):
         sim = Simulator()
