@@ -16,6 +16,8 @@ from typing import List
 
 from repro.core.baseline_3gtr import H323MobileStation
 from repro.core.vmsc import Vmsc
+from repro.gprs.ggsn import Ggsn
+from repro.gprs.sgsn import Sgsn
 from repro.gsm.ms import MobileStation
 from repro.gsm.msc import GsmMsc
 from repro.gsm.msc_base import MscBase
@@ -113,16 +115,13 @@ def _shared_radio_interface() -> bool:
 
 
 def _same_gprs_classes() -> bool:
-    from repro.core import baseline_3gtr, network
-    import inspect
+    """The built vGPRS and 3G TR networks hold the stock SGSN and GGSN."""
+    from repro.core.baseline_3gtr import build_3gtr_network
+    from repro.core.network import build_vgprs_network
 
-    vgprs_src = inspect.getsource(network)
-    tgtr_src = inspect.getsource(baseline_3gtr)
-    return (
-        "Sgsn(sim" in vgprs_src
-        and "Sgsn(sim" in tgtr_src
-        and "Ggsn(sim" in vgprs_src
-        and "Ggsn(sim" in tgtr_src
+    vgprs, tgtr = build_vgprs_network(), build_3gtr_network()
+    return all(
+        type(nw.sgsn) is Sgsn and type(nw.ggsn) is Ggsn for nw in (vgprs, tgtr)
     )
 
 

@@ -21,7 +21,14 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import CallSetupError, ProtocolError
 from repro.identities import IMSI, E164Number, IPv4Address, as_e164
-from repro.core.network import GK_IP, LatencyProfile, attach_terminal
+from repro.core.topology import (
+    LatencyProfile,
+    attach_terminal,
+    bss,
+    cover,
+    packet_core,
+    wire,
+)
 from repro.gprs.gb import GbUnitdata
 from repro.gprs.ggsn import Ggsn
 from repro.gprs.pdp import NSAPI_SIGNALLING
@@ -291,6 +298,8 @@ class Tgtr3Network:
     areas: Dict[str, Sgsn] = field(default_factory=dict)
     _terminal_count: int = 0
     _static_count: int = 0
+    #: Every 3G TR link carries the wire round trip.
+    wire_fidelity = True
 
     def add_ms(
         self,
@@ -316,8 +325,7 @@ class Tgtr3Network:
             answer_delay=answer_delay,
         )
         self.net.add(ms)
-        self.net.connect(ms, bts, Interface.UM, self.latencies.um,
-                         wire_fidelity=True)
+        cover(self, ms, bts)
         self.ggsn.provision_static(ms.imsi, static_ip, self.sgsn.name)
         self.mss[name] = ms
         return ms
@@ -328,26 +336,25 @@ class Tgtr3Network:
         """Add a routing area: its own SGSN/BSC/BTS, wired to the GGSN
         and cross-wired to every existing SGSN so inter-SGSN routing-area
         updates can pull contexts over Gn."""
-        sgsn = self.net.add(Sgsn(self.sim, f"SGSN-{name}", ready_timeout=5.0))
-        bsc = self.net.add(Bsc(self.sim, f"BSC-{name}"))
-        bts = self.net.add(
-            Bts(self.sim, f"BTS-{name}", packet_channel_bps=packet_channel_bps)
-        )
-        lat = self.latencies
-        self.net.connect(bts, bsc, Interface.ABIS, lat.abis, wire_fidelity=True)
-        self.net.connect(bsc, sgsn, Interface.GB, lat.gb, wire_fidelity=True)
-        self.net.connect(sgsn, self.ggsn, Interface.GN, lat.gn, wire_fidelity=True)
+        sgsn = Sgsn(self.sim, f"SGSN-{name}", ready_timeout=5.0)
+        self.net.add(sgsn)
+        bsc = Bsc(self.sim, f"BSC-{name}")
+        (bts,), abis = bss(self.sim, self.net, bsc, [f"BTS-{name}"],
+                           packet_channel_bps=packet_channel_bps)
+        wire(self.net, self.latencies, [
+            *abis,
+            (bsc, sgsn, Interface.GB, "gb"),
+            (sgsn, self.ggsn, Interface.GN, "gn"),
+            *((sgsn, other, Interface.GN, "gn") for other in self.areas.values()),
+        ], self.wire_fidelity)
         for other_name, other in self.areas.items():
-            self.net.connect(sgsn, other, Interface.GN, lat.gn,
-                             wire_fidelity=True)
             other.rai_map[name] = sgsn.name
             sgsn.rai_map[other_name] = other.name
         self.areas[name] = sgsn
         return sgsn, bsc, bts
 
     def add_terminal(self, name: str, alias: str, answer_delay: float = 1.0) -> H323Terminal:
-        return attach_terminal(self, name, alias, answer_delay,
-                               wire_fidelity=True)
+        return attach_terminal(self, name, alias, answer_delay)
 
 
 def build_3gtr_network(
@@ -361,32 +368,18 @@ def build_3gtr_network(
     lat = latencies if latencies is not None else LatencyProfile()
     sim = Simulator(seed=seed)
     net = Network(sim)
-
-    cloud = net.add(IPCloud(sim, "IPNET"))
-    gk = Gatekeeper(sim, "GK", ip=GK_IP)
-    net.add(gk)
-    net.connect(gk, cloud, Interface.IP, lat.ip, wire_fidelity=True)
-    gk.attach_to_cloud()
-
-    ggsn = net.add(Ggsn(sim, "GGSN"))
     # Radio-served subscribers fall back to STANDBY and must be paged
     # for downlink traffic (GSM 03.60); the vGPRS builder leaves the
     # timeout off because its Gb peer is the always-reachable VMSC.
-    sgsn = net.add(Sgsn(sim, "SGSN", ready_timeout=5.0))
-    net.connect(ggsn, cloud, Interface.GI, lat.gi, wire_fidelity=True)
-    net.connect(sgsn, ggsn, Interface.GN, lat.gn, wire_fidelity=True)
-
-    bsc = net.add(Bsc(sim, "BSC"))
-    net.connect(bsc, sgsn, Interface.GB, lat.gb, wire_fidelity=True)
-
-    network = Tgtr3Network(
-        sim=sim, net=net, latencies=lat, cloud=cloud, gk=gk,
-        ggsn=ggsn, sgsn=sgsn, bsc=bsc,
+    cloud, gk, ggsn, sgsn = packet_core(
+        sim, net, lat, Tgtr3Network.wire_fidelity, ready_timeout=5.0
     )
-    network.areas["RA-1"] = sgsn
-    for i in range(num_bts):
-        bts = Bts(sim, f"BTS{i + 1}", packet_channel_bps=packet_channel_bps)
-        net.add(bts)
-        net.connect(bts, bsc, Interface.ABIS, lat.abis, wire_fidelity=True)
-        network.btss.append(bts)
-    return network
+    bsc = Bsc(sim, "BSC")
+    btss, abis = bss(sim, net, bsc, [f"BTS{i + 1}" for i in range(num_bts)],
+                     packet_channel_bps=packet_channel_bps)
+    wire(net, lat, [(bsc, sgsn, Interface.GB, "gb"), *abis],
+         Tgtr3Network.wire_fidelity)
+    return Tgtr3Network(
+        sim=sim, net=net, latencies=lat, cloud=cloud, gk=gk,
+        ggsn=ggsn, sgsn=sgsn, bsc=bsc, btss=btss, areas={"RA-1": sgsn},
+    )

@@ -12,15 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.identities import IMSI, E164Number
-from repro.core.network import LatencyProfile
+from repro.core.topology import (
+    LatencyProfile,
+    attach_phone,
+    bss,
+    provision_ms,
+    wire,
+)
 from repro.gsm.bsc import Bsc
 from repro.gsm.bts import Bts
 from repro.gsm.gmsc import Gmsc
 from repro.gsm.hlr import Hlr
 from repro.gsm.ms import MobileStation
 from repro.gsm.msc import GsmMsc
-from repro.gsm.subscriber import SubscriberRecord
 from repro.gsm.vlr import Vlr
 from repro.net.interfaces import Interface
 from repro.net.node import Network
@@ -36,12 +40,17 @@ UK_MOBILE_PREFIX = "+447"
 HK_MSRN_PREFIX = "+85293600"
 
 
+#: One-way delay of a fixed subscriber's loop to its local exchange.
+LOCAL_LOOP = 0.002
+
+
 @dataclass
 class ClassicRoamingNetwork:
     """Figure 7 topology, fully wired."""
 
     sim: Simulator
     net: Network
+    latencies: LatencyProfile
     ledger: TrunkLedger
     hlr_uk: Hlr
     gmsc_uk: Gmsc
@@ -52,36 +61,27 @@ class ClassicRoamingNetwork:
     exchange_hk: PstnSwitch
     phones: Dict[str, PstnPhone] = field(default_factory=dict)
     roamers: Dict[str, MobileStation] = field(default_factory=dict)
+    #: Every Figure 7 link except the subscriber loops carries the wire
+    #: round trip.
+    wire_fidelity = True
 
     def add_roamer(
         self, name: str, imsi: str, msisdn: str, answer_delay: float = 1.0
     ) -> MobileStation:
         """A UK subscriber currently camped on the Hong Kong cell."""
-        subscriber = SubscriberRecord(imsi=IMSI(imsi), msisdn=E164Number.parse(msisdn))
-        self.hlr_uk.add_subscriber(subscriber)
-        ms = MobileStation(
-            self.sim,
-            name,
-            imsi=subscriber.imsi,
-            msisdn=subscriber.msisdn,
-            ki=subscriber.ki,
-            serving_bts=self.bts_hk.name,
-            lai="LAI-852-1",
-            answer_delay=answer_delay,
+        ms = provision_ms(
+            self, self.hlr_uk, name, imsi, msisdn, self.bts_hk,
+            lai="LAI-852-1", answer_delay=answer_delay,
         )
-        self.net.add(ms)
-        self.net.connect(ms, self.bts_hk, Interface.UM, 0.010, wire_fidelity=True)
         self.roamers[name] = ms
         return ms
 
     def add_phone(self, name: str, number: str, answer_delay: float = 1.0) -> PstnPhone:
         """A fixed-line subscriber on the Hong Kong exchange."""
-        phone = PstnPhone(
-            self.sim, name, E164Number.parse(number), answer_delay=answer_delay
+        phone = attach_phone(
+            self.sim, self.net, self.exchange_hk, name, number, answer_delay,
+            LOCAL_LOOP,
         )
-        self.net.add(phone)
-        self.net.connect(phone, self.exchange_hk, Interface.ISUP, 0.002)
-        self.exchange_hk.add_local(phone.number, phone.name)
         self.phones[name] = phone
         return phone
 
@@ -89,44 +89,38 @@ class ClassicRoamingNetwork:
 def build_classic_roaming_network(
     seed: int = 0,
     latencies: LatencyProfile = LatencyProfile(),
-    sim: Simulator = None,
 ) -> ClassicRoamingNetwork:
     """Wire the Figure 7 topology."""
-    sim = sim if sim is not None else Simulator(seed=seed)
+    sim = Simulator(seed=seed)
     net = Network(sim)
     ledger = TrunkLedger()
 
-    hlr_uk = net.add(Hlr(sim, "HLR-UK"))
-    gmsc_uk = net.add(Gmsc(sim, "GMSC-UK", country_code=UK, ledger=ledger))
+    hlr_uk = Hlr(sim, "HLR-UK")
+    gmsc_uk = Gmsc(sim, "GMSC-UK", country_code=UK, ledger=ledger)
     gmsc_uk.add_home_prefix(UK_MOBILE_PREFIX)
+    exchange_hk = PstnSwitch(sim, "EX-HK", country_code=HONG_KONG,
+                             ledger=ledger, cic_start=100000)
+    msc_hk = GsmMsc(sim, "MSC-HK")
+    vlr_hk = Vlr(sim, "VLR-HK", country_code=HONG_KONG, msrn_prefix="93600")
+    for node in (hlr_uk, gmsc_uk, exchange_hk, msc_hk, vlr_hk):
+        net.add(node)
+    bsc_hk = Bsc(sim, "BSC-HK")
+    (bts_hk,), abis = bss(sim, net, bsc_hk, ["BTS-HK"])
 
-    exchange_hk = net.add(
-        PstnSwitch(sim, "EX-HK", country_code=HONG_KONG, ledger=ledger,
-                   cic_start=100000)
-    )
-    msc_hk = net.add(GsmMsc(sim, "MSC-HK"))
-    vlr_hk = net.add(
-        Vlr(sim, "VLR-HK", country_code=HONG_KONG, msrn_prefix="93600")
-    )
-    bsc_hk = net.add(Bsc(sim, "BSC-HK"))
-    bts_hk = net.add(Bts(sim, "BTS-HK"))
-
-    # SS7 signalling.
-    net.connect(gmsc_uk, hlr_uk, Interface.C, latencies.ss7, wire_fidelity=True)
-    net.connect(msc_hk, vlr_hk, Interface.B, latencies.ss7, wire_fidelity=True)
-    net.connect(vlr_hk, hlr_uk, Interface.D, latencies.international,
-                wire_fidelity=True)
-
-    # Radio access.
-    net.connect(bsc_hk, msc_hk, Interface.A, latencies.a, wire_fidelity=True)
-    net.connect(bts_hk, bsc_hk, Interface.ABIS, latencies.abis, wire_fidelity=True)
-
-    # Trunks: the single international route between Hong Kong and the
-    # UK, and the local trunk from the exchange to the visited MSC.
-    net.connect(exchange_hk, gmsc_uk, Interface.ISUP, latencies.international,
-                wire_fidelity=True)
-    net.connect(exchange_hk, msc_hk, Interface.ISUP, latencies.isup,
-                wire_fidelity=True)
+    wire(net, latencies, [
+        # SS7 signalling.
+        (gmsc_uk, hlr_uk, Interface.C, "ss7"),
+        (msc_hk, vlr_hk, Interface.B, "ss7"),
+        (vlr_hk, hlr_uk, Interface.D, "international"),
+        # Radio access.
+        (bsc_hk, msc_hk, Interface.A, "a"),
+        *abis,
+        # Trunks: the single international route between Hong Kong and
+        # the UK, and the local trunk from the exchange to the visited
+        # MSC.
+        (exchange_hk, gmsc_uk, Interface.ISUP, "international"),
+        (exchange_hk, msc_hk, Interface.ISUP, "isup"),
+    ], ClassicRoamingNetwork.wire_fidelity)
 
     # Routing tables.
     exchange_hk.add_route("+44", gmsc_uk.name, international=True)
@@ -136,6 +130,7 @@ def build_classic_roaming_network(
     return ClassicRoamingNetwork(
         sim=sim,
         net=net,
+        latencies=latencies,
         ledger=ledger,
         hlr_uk=hlr_uk,
         gmsc_uk=gmsc_uk,

@@ -14,9 +14,10 @@ MS -> BTS2 -> BSC2 -> MSC -> (E trunk) -> VMSC -> GPRS -> H.323 network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.network import LatencyProfile, VgprsNetwork, build_vgprs_network
+from repro.core.topology import bss, wire
 from repro.core.vmsc import Vmsc
 from repro.gsm.bsc import Bsc
 from repro.gsm.bts import Bts
@@ -27,6 +28,26 @@ from repro.net.interfaces import Interface
 
 SERVING_CELL = "cell-1"
 TARGET_CELL = "cell-2"
+
+
+def _neighbour(
+    vgprs: VgprsNetwork, msc: MscBase, suffix: str, cell: str
+) -> Tuple[Bsc, Bts]:
+    """Wire a neighbouring system serving *cell*: *msc* with its own
+    BSC and BTS, joined to the anchor VMSC over the MAP E interface
+    (signalling + trunk)."""
+    sim, net = vgprs.sim, vgprs.net
+    net.add(msc)
+    bsc = Bsc(sim, f"BSC{suffix}")
+    (bts,), abis = bss(sim, net, bsc, [f"BTS{suffix}"])
+    wire(net, vgprs.latencies, [
+        (bsc, msc, Interface.A, "a"),
+        *abis,
+        (vgprs.vmsc, msc, Interface.E, "ss7"),
+    ], vgprs.wire_fidelity)
+    vgprs.vmsc.neighbor_cells[cell] = msc.name
+    msc.cells[cell] = bsc.name
+    return bsc, bts
 
 
 @dataclass
@@ -47,10 +68,7 @@ class HandoffNetwork:
                answer_delay: float = 1.0) -> MobileStation:
         """An MS with radio visibility of both systems' cells."""
         ms = self.vgprs.add_ms(name, imsi, msisdn, answer_delay=answer_delay)
-        self.vgprs.net.connect(
-            ms, self.target_bts, Interface.UM, self.vgprs.latencies.um,
-            wire_fidelity=True,
-        )
+        self.vgprs.add_coverage(ms, self.target_bts)
         ms.cells = {
             SERVING_CELL: self.vgprs.btss[0].name,
             TARGET_CELL: self.target_bts.name,
@@ -62,20 +80,11 @@ class HandoffNetwork:
         """Add a third (or Nth) classic-MSC system serving *cell*, wired
         to the anchor over the E interface — for chained subsequent
         handoffs."""
-        sim, net = self.sim, self.vgprs.net
-        msc = net.add(GsmMsc(sim, name, cic_start=550000 + len(net.nodes)))
-        bsc = net.add(Bsc(sim, f"BSC-{name}"))
-        bts = net.add(Bts(sim, f"BTS-{name}"))
-        lat = self.vgprs.latencies
-        net.connect(bsc, msc, Interface.A, lat.a, wire_fidelity=True)
-        net.connect(bts, bsc, Interface.ABIS, lat.abis, wire_fidelity=True)
-        net.connect(self.vgprs.vmsc, msc, Interface.E, lat.ss7,
-                    wire_fidelity=True)
-        self.vgprs.vmsc.neighbor_cells[cell] = msc.name
-        msc.cells[cell] = bsc.name
+        net = self.vgprs.net
+        msc = GsmMsc(self.sim, name, cic_start=550000 + len(net.nodes))
+        _, bts = _neighbour(self.vgprs, msc, f"-{name}", cell)
         if self.ms is not None:
-            net.connect(self.ms, bts, Interface.UM, lat.um,
-                        wire_fidelity=True)
+            self.vgprs.add_coverage(self.ms, bts)
             self.ms.cells[cell] = bts.name
         return msc
 
@@ -132,25 +141,11 @@ def build_handoff_network(
     """Wire Figure 9.  ``target`` selects a classic GSM ``"msc"`` or a
     second ``"vmsc"`` as the neighbouring system."""
     vgprs = build_vgprs_network(seed=seed, latencies=latencies)
-    sim, net = vgprs.sim, vgprs.net
-
     if target == "vmsc":
-        target_msc: MscBase = Vmsc(sim, "VMSC2", gk_ip=vgprs.gk.ip)
+        target_msc: MscBase = Vmsc(vgprs.sim, "VMSC2", gk_ip=vgprs.gk.ip)
     else:
-        target_msc = GsmMsc(sim, "MSC2")
-    net.add(target_msc)
-    target_bsc = net.add(Bsc(sim, "BSC2"))
-    target_bts = net.add(Bts(sim, "BTS2"))
-    net.connect(target_bsc, target_msc, Interface.A, latencies.a,
-                wire_fidelity=True)
-    net.connect(target_bts, target_bsc, Interface.ABIS, latencies.abis,
-                wire_fidelity=True)
-    # MAP E interface between the two switches (signalling + trunk).
-    net.connect(vgprs.vmsc, target_msc, Interface.E, latencies.ss7,
-                wire_fidelity=True)
-
-    vgprs.vmsc.neighbor_cells[TARGET_CELL] = target_msc.name
-    target_msc.cells[TARGET_CELL] = target_bsc.name
+        target_msc = GsmMsc(vgprs.sim, "MSC2")
+    target_bsc, target_bts = _neighbour(vgprs, target_msc, "2", TARGET_CELL)
     return HandoffNetwork(
         vgprs=vgprs,
         target_msc=target_msc,

@@ -15,18 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.identities import E164Number
-from repro.core.baseline_gsm import UK_MOBILE_PREFIX
-from repro.core.network import (
-    GATEWAY_IP,
-    LatencyProfile,
-    VgprsNetwork,
-    build_vgprs_network,
-)
+from repro.core.baseline_gsm import LOCAL_LOOP, UK_MOBILE_PREFIX
+from repro.core.network import VgprsNetwork, build_vgprs_network
+from repro.core.topology import GATEWAY_IP, LatencyProfile, attach_phone, wire
 from repro.gsm.gmsc import Gmsc
 from repro.gsm.hlr import Hlr
 from repro.gsm.ms import MobileStation
 from repro.h323.gateway import H323PstnGateway
+from repro.identities import E164Number
 from repro.net.interfaces import Interface
 from repro.pstn.numbering import HONG_KONG, UK
 from repro.pstn.phone import PstnPhone
@@ -65,16 +61,13 @@ class VgprsRoamingNetwork:
 def build_vgprs_roaming_network(
     seed: int = 0,
     latencies: LatencyProfile = LatencyProfile(),
-    phone_number: str = "+85221234567",
-    phone_answer_delay: float = 1.0,
 ) -> VgprsRoamingNetwork:
     """Wire the Figure 8 topology."""
     sim = Simulator(seed=seed)
     ledger = TrunkLedger()
 
     # The home HLR lives in the UK; the visited vGPRS network's VLR
-    # reaches it over an international D link (handled inside the
-    # builder by passing the HLR in).
+    # reaches it over its D link (the builder adds the HLR passed in).
     hlr_uk = Hlr(sim, "HLR-UK")
     vgprs = build_vgprs_network(
         latencies=latencies,
@@ -84,44 +77,33 @@ def build_vgprs_roaming_network(
     )
 
     net = vgprs.net
-    exchange_hk = net.add(
-        PstnSwitch(sim, "EX-HK", country_code=HONG_KONG, ledger=ledger,
-                   cic_start=100000)
-    )
-    gmsc_uk = net.add(Gmsc(sim, "GMSC-UK", country_code=UK, ledger=ledger))
+    exchange_hk = PstnSwitch(sim, "EX-HK", country_code=HONG_KONG,
+                             ledger=ledger, cic_start=100000)
+    gmsc_uk = Gmsc(sim, "GMSC-UK", country_code=UK, ledger=ledger)
     gmsc_uk.add_home_prefix(UK_MOBILE_PREFIX)
-    net.connect(gmsc_uk, hlr_uk, Interface.C, latencies.ss7, wire_fidelity=True)
-
-    gateway = net.add(
-        H323PstnGateway(
-            sim,
-            "GW-HK",
-            ip=GATEWAY_IP,
-            alias=E164Number(HONG_KONG, "29999999"),
-            gk_ip=vgprs.gk.ip,
-        )
+    gateway = H323PstnGateway(
+        sim,
+        "GW-HK",
+        ip=GATEWAY_IP,
+        alias=E164Number(HONG_KONG, "29999999"),
+        gk_ip=vgprs.gk.ip,
     )
-    net.connect(gateway, vgprs.cloud, Interface.IP, latencies.ip,
-                wire_fidelity=True)
-    net.connect(gateway, exchange_hk, Interface.ISUP, latencies.isup,
-                wire_fidelity=True)
+    for node in (exchange_hk, gmsc_uk, gateway):
+        net.add(node)
+    wire(net, latencies, [
+        (gmsc_uk, hlr_uk, Interface.C, "ss7"),
+        (gateway, vgprs.cloud, Interface.IP, "ip"),
+        (gateway, exchange_hk, Interface.ISUP, "isup"),
+        (exchange_hk, gmsc_uk, Interface.ISUP, "international"),
+    ], vgprs.wire_fidelity)
     gateway.register()
-
-    net.connect(exchange_hk, gmsc_uk, Interface.ISUP, latencies.international,
-                wire_fidelity=True)
 
     # Figure 8 routing: VoIP gateway first, international trunk fallback.
     exchange_hk.add_route("+44", gateway.name, international=False)
     exchange_hk.add_route("+44", gmsc_uk.name, international=True)
 
-    phone_y = PstnPhone(
-        sim, "PHONE-Y", E164Number.parse(phone_number),
-        answer_delay=phone_answer_delay,
-    )
-    net.add(phone_y)
-    net.connect(phone_y, exchange_hk, Interface.ISUP, 0.002)
-    exchange_hk.add_local(phone_y.number, phone_y.name)
-
+    phone_y = attach_phone(sim, net, exchange_hk, "PHONE-Y", "+85221234567",
+                           1.0, LOCAL_LOOP)
     return VgprsRoamingNetwork(
         vgprs=vgprs,
         ledger=ledger,

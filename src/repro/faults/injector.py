@@ -50,11 +50,9 @@ FAULT_HISTOGRAMS = ("fault.mttr.gk_registration",)
 class FaultInjector:
     """Schedules a plan's link flips, crashes and impairments.
 
-    ``name_prefix`` namespaces plan node names onto prefixed topologies
-    (e.g. the roaming builders); ``strict=False`` skips events whose
-    link/node the topology lacks (counted as ``fault.unresolved``)
-    instead of raising — useful when one plan drives several sweep
-    topologies.
+    ``strict=False`` skips events whose link/node the topology lacks
+    (counted as ``fault.unresolved``) instead of raising — useful when
+    one plan drives several sweep topologies.
     """
 
     def __init__(
@@ -62,13 +60,11 @@ class FaultInjector:
         sim: Simulator,
         net: Network,
         plan: FaultPlan,
-        name_prefix: str = "",
         strict: bool = True,
     ) -> None:
         self.sim = sim
         self.net = net
         self.plan = plan
-        self.name_prefix = name_prefix
         self.strict = strict
         self.armed = False
         # Links a crash took down, so restart restores exactly those and
@@ -78,11 +74,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def _node(self, name: str) -> Node:
-        return self.net.node(f"{self.name_prefix}{name}")
-
     def _link(self, a: str, b: str) -> Link:
-        return self._node(a).link_to(self._node(b))
+        return self.net.node(a).link_to(self.net.node(b))
 
     # ------------------------------------------------------------------
     # Arming
@@ -125,7 +118,7 @@ class FaultInjector:
                             max(event.at, now), self._link_up, link, label
                         )
                 elif isinstance(event, NodeCrashFault):
-                    node = self._node(event.node)
+                    node = self.net.node(event.node)
                     self.sim.schedule_at(max(event.at, now), self._crash, node)
                     if event.restart_after is not None:
                         self.sim.schedule_at(
@@ -213,7 +206,7 @@ class FaultInjector:
 
 
 def apply_faults(
-    nw: object, faults: object, name_prefix: str = "", strict: bool = True
+    nw: object, faults: object, strict: bool = True
 ) -> Tuple[FaultInjector, ...]:
     """Convenience for CLI/sweep wiring: parse *faults* (a plan, plan
     text, or ``None``) and arm it on a built network object exposing
@@ -226,7 +219,5 @@ def apply_faults(
         return ()
     sim = getattr(nw, "sim")
     net = getattr(nw, "net")
-    injector = FaultInjector(
-        sim, net, plan, name_prefix=name_prefix, strict=strict
-    ).arm()
+    injector = FaultInjector(sim, net, plan, strict=strict).arm()
     return (injector,)

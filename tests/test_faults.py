@@ -237,14 +237,6 @@ class TestInjector:
             "fault.impair_off": 1
         }
 
-    def test_name_prefix_resolution(self):
-        nw = build_vgprs_network(seed=14, name_prefix="V-")
-        nw.sim.run(until=0.5)
-        link = nw.gk.link_to(nw.cloud)
-        apply_faults(nw, "at 1 link GK--IPNET down", name_prefix="V-")
-        nw.sim.run(until=1.5)
-        assert not link.up
-
 
 # ----------------------------------------------------------------------
 # ReliableTransaction (the generic retry primitive)

@@ -279,6 +279,35 @@ class TestInterfaceMetadata:
         for _, _, _, iface, _ in FIGURE3_LINKS:
             assert iface in INTERFACE_SPECS
 
+    def test_figure3_links_exist_in_the_built_network(self):
+        """Each Figure 3 row is a live link on its interface between
+        nodes of the named types.  Row 8 (GGSN to H.323 terminal) has no
+        direct link: it is the Gi hop to the IP cloud, then the cloud's
+        IP hop to the terminal."""
+        from repro.core.network import build_vgprs_network
+
+        nw = build_vgprs_network(seed=1)
+        nw.add_ms("MS1", "466920000000001", "+886935000001")
+        nw.add_terminal("TERM1", "+886222000001")
+        kind = {
+            "H.323 terminal": "H323Terminal", "H.323 network": "IPCloud",
+            "GGSN": "Ggsn", "SGSN": "Sgsn", "VMSC": "Vmsc", "BSC": "Bsc",
+            "BTS": "Bts", "MS": "MobileStation", "VLR": "Vlr", "HLR": "Hlr",
+        }
+        live = {
+            (link.interface, frozenset((type(link.a).__name__,
+                                        type(link.b).__name__)))
+            for link in nw.net.links
+        }
+        for num, a, b, iface, _ in FIGURE3_LINKS:
+            hops = [(a, b, iface)]
+            if num == 8:
+                hops = [("GGSN", "H.323 network", Interface.GI),
+                        ("H.323 network", "H.323 terminal", Interface.IP)]
+            for x, y, hop_iface in hops:
+                assert (hop_iface, frozenset((kind[x], kind[y]))) in live, (
+                    num, x, y, hop_iface)
+
 
 class TestIpHostContext:
     def test_rx_context_restored_after_nested_dispatch(self):

@@ -4,8 +4,10 @@ import pytest
 
 from repro.identities import E164Number, IMSI
 from repro.core.baseline_gsm import build_classic_roaming_network
+from repro.core.network import LatencyProfile
 from repro.core.tromboning import build_vgprs_roaming_network
 from repro.gsm.subscriber import SubscriberRecord
+from repro.net.interfaces import Interface
 
 ROAMER_IMSI = "234150000000001"
 ROAMER_MSISDN = "+447700900123"
@@ -32,6 +34,11 @@ def vgprs_roaming():
 
 
 class TestClassicGsmTromboning:
+    def test_roamer_um_link_follows_latency_profile(self):
+        nw = build_classic_roaming_network(latencies=LatencyProfile(um=0.02))
+        x = nw.add_roamer("MS-X", ROAMER_IMSI, ROAMER_MSISDN)
+        assert x.link_to(nw.bts_hk, Interface.UM).latency == 0.02
+
     def test_roamer_registers_through_international_ss7(self, classic):
         nw, x, _ = classic
         assert nw.hlr_uk.subscriber(x.imsi).vlr_name == nw.vlr_hk.name
