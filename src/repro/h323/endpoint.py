@@ -27,7 +27,7 @@ machine, which bridges every leg to a GSM radio connection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
 
 from repro.errors import CallSetupError, ProtocolError
 from repro.h323.codec import G711_ULAW, CodecSpec
@@ -509,11 +509,6 @@ class H323Endpoint(IpHost):
             flow, call.fluid_flow = call.fluid_flow, None
             self.sim.media.end_flow(flow)
 
-    def _rtp_stream(self, call: H323Call) -> Any:
-        """The object whose ``rtp_seq`` numbers *call*'s frames: the call
-        itself unless the endpoint numbers all its calls in one run."""
-        return call
-
     def _rtp(self, call: H323Call, seq: int, payload: bytes) -> RtpPacket:
         now = self.sim.now
         return RtpPacket(
@@ -528,15 +523,14 @@ class H323Endpoint(IpHost):
     def _talk(
         self, call: H323Call, interval: float, duration: Optional[float]
     ) -> Generator[float, None, None]:
-        stream = self._rtp_stream(call)
         started = self.sim.now
         payload = bytes(self.codec.frame_bytes)  # one frame, reused for the spurt
         while call.state == "in-call" and call.remote_media is not None:
             if duration is not None and self.sim.now - started >= duration:
                 break
-            stream.rtp_seq += 1
+            call.rtp_seq += 1
             self._send_h323(
-                self._rtp(call, stream.rtp_seq, payload), call.remote_media, PORT_RTP
+                self._rtp(call, call.rtp_seq, payload), call.remote_media, PORT_RTP
             )
             yield interval
 
@@ -552,8 +546,7 @@ class H323Endpoint(IpHost):
         A first hop with a shared packet channel (the 3G TR radio) puts
         the flow on that channel's model."""
         assert call.remote_media is not None
-        stream = self._rtp_stream(call)
-        stream.rtp_seq += 1
+        call.rtp_seq += 1
         now = self.sim.now
         gen_us = int(now * 1e6)
         dst_ip, dst_port = call.remote_media
@@ -561,7 +554,7 @@ class H323Endpoint(IpHost):
             ip_datagram(
                 self.ip,
                 dst_ip,
-                self._rtp(call, stream.rtp_seq, bytes(self.codec.frame_bytes)),
+                self._rtp(call, call.rtp_seq, bytes(self.codec.frame_bytes)),
                 dst_port,
                 PORT_RTP,
             )
@@ -581,7 +574,7 @@ class H323Endpoint(IpHost):
             residual_busy = hop._pch_busy_until["up"]
 
         def frames_sent(n: int) -> None:
-            stream.rtp_seq += n
+            call.rtp_seq += n
 
         flow = media.start_flow(
             key=gen_us, start=now, interval=interval, duration=duration,

@@ -21,9 +21,6 @@ from repro.identities import E164Number, as_e164
 class H323Terminal(H323Endpoint):
     """A standard H.323 terminal."""
 
-    #: RTP sequence number, continued across the terminal's calls.
-    rtp_seq = 0
-
     def place_call(self, called: Union[E164Number, str]) -> int:
         """ARQ the gatekeeper, then Q.931 Setup to the resolved address."""
         called = as_e164(called)
@@ -44,6 +41,3 @@ class H323Terminal(H323Endpoint):
     def _connected(self, call: H323Call) -> None:
         self.sim.metrics.counter(f"{self.name}.calls_connected").inc()
         super()._connected(call)
-
-    def _rtp_stream(self, call: H323Call) -> "H323Terminal":
-        return self

@@ -180,6 +180,37 @@ class TestTerminalToTerminalCall:
         # absent; the endpoint must never crash or leak half-open calls.
         assert all(c.state in ("in-call",) for c in t1.calls.values())
 
+    def test_rtp_numbered_per_call(self):
+        """Each call is its own SSRC stream: two calls from one terminal
+        both start at seq 1 and number their frames without gaps."""
+        sim, gk, t1, t2 = make_h323()
+        t3 = H323Terminal(
+            sim, "T3", ip=IPv4Address.parse("192.0.2.12"),
+            alias=E164Number.parse("+886222000003"), gk_ip=GK_IP,
+            answer_delay=0.3,
+        )
+        gk.network.add(t3)
+        gk.network.connect(t3, gk.peer(Interface.IP), Interface.IP, 0.005)
+        t3.register()
+        sim.run(until=sim.now + 0.5)
+        refs = [t1.place_call(t.alias) for t in (t2, t3)]
+        assert sim.run_until_true(
+            lambda: all(
+                ref in t1.calls and t1.calls[ref].state == "in-call"
+                for ref in refs
+            ),
+            timeout=10,
+        )
+        for ref in refs:
+            t1.start_talking(ref, duration=0.2)
+        sim.run(until=sim.now + 1.0)
+        for far_end in (t2, t3):
+            seqs = [
+                e.info["rtp_seq"] for e in sim.trace.entries
+                if e.dst == far_end.name and "rtp_seq" in e.info
+            ]
+            assert seqs == list(range(1, 11)), (far_end.name, seqs)
+
     def test_hangup_unknown_call_rejected(self):
         sim, gk, t1, _ = make_h323()
         from repro.errors import ProtocolError
