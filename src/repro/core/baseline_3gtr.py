@@ -336,10 +336,9 @@ class Tgtr3Network:
         """Add a routing area: its own SGSN/BSC/BTS, wired to the GGSN
         and cross-wired to every existing SGSN so inter-SGSN routing-area
         updates can pull contexts over Gn."""
-        sgsn = Sgsn(self.sim, f"SGSN-{name}", ready_timeout=5.0)
-        self.net.add(sgsn)
+        sgsn = self.net.add(Sgsn(self.sim, f"SGSN-{name}", ready_timeout=5.0))
         bsc = Bsc(self.sim, f"BSC-{name}")
-        (bts,), abis = bss(self.sim, self.net, bsc, [f"BTS-{name}"],
+        (bts,), abis = bss(self.net, bsc, [f"BTS-{name}"],
                            packet_channel_bps=packet_channel_bps)
         wire(self.net, self.latencies, [
             *abis,
@@ -353,8 +352,7 @@ class Tgtr3Network:
         self.areas[name] = sgsn
         return sgsn, bsc, bts
 
-    def add_terminal(self, name: str, alias: str, answer_delay: float = 1.0) -> H323Terminal:
-        return attach_terminal(self, name, alias, answer_delay)
+    add_terminal = attach_terminal
 
 
 def build_3gtr_network(
@@ -372,10 +370,10 @@ def build_3gtr_network(
     # for downlink traffic (GSM 03.60); the vGPRS builder leaves the
     # timeout off because its Gb peer is the always-reachable VMSC.
     cloud, gk, ggsn, sgsn = packet_core(
-        sim, net, lat, Tgtr3Network.wire_fidelity, ready_timeout=5.0
+        net, lat, Tgtr3Network.wire_fidelity, ready_timeout=5.0
     )
     bsc = Bsc(sim, "BSC")
-    btss, abis = bss(sim, net, bsc, [f"BTS{i + 1}" for i in range(num_bts)],
+    btss, abis = bss(net, bsc, [f"BTS{i + 1}" for i in range(num_bts)],
                      packet_channel_bps=packet_channel_bps)
     wire(net, lat, [(bsc, sgsn, Interface.GB, "gb"), *abis],
          Tgtr3Network.wire_fidelity)

@@ -79,8 +79,7 @@ class ClassicRoamingNetwork:
     def add_phone(self, name: str, number: str, answer_delay: float = 1.0) -> PstnPhone:
         """A fixed-line subscriber on the Hong Kong exchange."""
         phone = attach_phone(
-            self.sim, self.net, self.exchange_hk, name, number, answer_delay,
-            LOCAL_LOOP,
+            self, self.exchange_hk, name, number, answer_delay, LOCAL_LOOP
         )
         self.phones[name] = phone
         return phone
@@ -95,17 +94,20 @@ def build_classic_roaming_network(
     net = Network(sim)
     ledger = TrunkLedger()
 
-    hlr_uk = Hlr(sim, "HLR-UK")
-    gmsc_uk = Gmsc(sim, "GMSC-UK", country_code=UK, ledger=ledger)
+    hlr_uk = net.add(Hlr(sim, "HLR-UK"))
+    gmsc_uk = net.add(Gmsc(sim, "GMSC-UK", country_code=UK, ledger=ledger))
     gmsc_uk.add_home_prefix(UK_MOBILE_PREFIX)
-    exchange_hk = PstnSwitch(sim, "EX-HK", country_code=HONG_KONG,
-                             ledger=ledger, cic_start=100000)
-    msc_hk = GsmMsc(sim, "MSC-HK")
-    vlr_hk = Vlr(sim, "VLR-HK", country_code=HONG_KONG, msrn_prefix="93600")
-    for node in (hlr_uk, gmsc_uk, exchange_hk, msc_hk, vlr_hk):
-        net.add(node)
+
+    exchange_hk = net.add(
+        PstnSwitch(sim, "EX-HK", country_code=HONG_KONG, ledger=ledger,
+                   cic_start=100000)
+    )
+    msc_hk = net.add(GsmMsc(sim, "MSC-HK"))
+    vlr_hk = net.add(
+        Vlr(sim, "VLR-HK", country_code=HONG_KONG, msrn_prefix="93600")
+    )
     bsc_hk = Bsc(sim, "BSC-HK")
-    (bts_hk,), abis = bss(sim, net, bsc_hk, ["BTS-HK"])
+    (bts_hk,), abis = bss(net, bsc_hk, ["BTS-HK"])
 
     wire(net, latencies, [
         # SS7 signalling.

@@ -39,7 +39,7 @@ def _neighbour(
     sim, net = vgprs.sim, vgprs.net
     net.add(msc)
     bsc = Bsc(sim, f"BSC{suffix}")
-    (bts,), abis = bss(sim, net, bsc, [f"BTS{suffix}"])
+    (bts,), abis = bss(net, bsc, [f"BTS{suffix}"])
     wire(net, vgprs.latencies, [
         (bsc, msc, Interface.A, "a"),
         *abis,
@@ -80,8 +80,8 @@ class HandoffNetwork:
         """Add a third (or Nth) classic-MSC system serving *cell*, wired
         to the anchor over the E interface — for chained subsequent
         handoffs."""
-        net = self.vgprs.net
-        msc = GsmMsc(self.sim, name, cic_start=550000 + len(net.nodes))
+        nodes = self.vgprs.net.nodes
+        msc = GsmMsc(self.sim, name, cic_start=550000 + len(nodes))
         _, bts = _neighbour(self.vgprs, msc, f"-{name}", cell)
         if self.ms is not None:
             self.vgprs.add_coverage(self.ms, bts)

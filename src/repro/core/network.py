@@ -94,16 +94,10 @@ class VgprsNetwork:
         self.mss[name] = ms
         return ms
 
-    def add_coverage(self, ms: MobileStation, bts: Bts) -> None:
-        """Give *ms* radio visibility of an additional cell (needed
-        before :meth:`MobileStation.move_to` or handoff into it)."""
-        cover(self, ms, bts)
-
-    def add_terminal(
-        self, name: str, alias: str, answer_delay: float = 1.0
-    ) -> H323Terminal:
-        """Attach an H.323 terminal to the IP cloud."""
-        return attach_terminal(self, name, alias, answer_delay)
+    #: Give an MS radio visibility of an additional cell (needed before
+    #: :meth:`MobileStation.move_to` or handoff into it).
+    add_coverage = cover
+    add_terminal = attach_terminal
 
     def add_phone(
         self, name: str, number: str, answer_delay: float = 1.0
@@ -116,8 +110,7 @@ class VgprsNetwork:
                 "add_phone needs build_vgprs_network(with_pstn=True)"
             )
         phone = attach_phone(
-            self.sim, self.net, self.pstn, name, number, answer_delay,
-            self.latencies.isup,
+            self, self.pstn, name, number, answer_delay, self.latencies.isup
         )
         self.phones[name] = phone
         return phone
@@ -152,28 +145,25 @@ def build_vgprs_network(
     # address bindings so network-requested activation can find the MS
     # (the static-addressing requirement of GSM 03.60).
     cloud, gk, ggsn, sgsn = packet_core(
-        sim, net, lat, wire_fidelity, gk_max_calls=gk_max_calls,
+        net, lat, wire_fidelity, gk_max_calls=gk_max_calls,
         remember_released=idle_deactivate_after is not None,
     )
-    vmsc = Vmsc(
+    vmsc = net.add(Vmsc(
         sim,
         "VMSC",
         gk_ip=gk.ip,
         country_code=country_code,
         idle_deactivate_after=idle_deactivate_after,
-    )
-    vlr = Vlr(sim, "VLR", country_code=country_code)
-    hlr = hlr if hlr is not None else Hlr(sim, "HLR")
-    for node in (vmsc, vlr, hlr):
-        net.add(node)
+    ))
+    vlr = net.add(Vlr(sim, "VLR", country_code=country_code))
+    hlr = net.add(hlr if hlr is not None else Hlr(sim, "HLR"))
     pstn: Optional[PstnSwitch] = None
     trunk: List[Row] = []
     if with_pstn:
-        pstn = PstnSwitch(sim, "PSTN", country_code=country_code)
-        net.add(pstn)
+        pstn = net.add(PstnSwitch(sim, "PSTN", country_code=country_code))
         trunk = [(vmsc, pstn, Interface.ISUP, "isup")]
     bsc = Bsc(sim, "BSC", tch_capacity=tch_capacity)
-    btss, abis = bss(sim, net, bsc, [f"BTS{i + 1}" for i in range(num_bts)])
+    btss, abis = bss(net, bsc, [f"BTS{i + 1}" for i in range(num_bts)])
     wire(net, lat, [
         (vmsc, vlr, Interface.B, "ss7"),
         (vlr, hlr, Interface.D, "ss7"),

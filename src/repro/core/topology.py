@@ -1,22 +1,16 @@
 """Topology as data: the one wiring path of the five networks.
 
-Every link of the paper's fixed graphs — Figures 1-3 (vGPRS), 7
-(classic GSM roaming), 8 (vGPRS roaming), 9 (handoff) and the §6 3G TR
-23.923 baseline — is one row ``(a, b, interface, latency field)`` handed
-to :func:`wire`, with the delay looked up in the network's
-:class:`LatencyProfile` and the codec mode (``wire_fidelity``) fixed once
-per network.  The sub-assemblies the builders share (the packet core, a
-BSS, an MS on a cell, a terminal on the IP cloud, a phone on an
-exchange) are built here, once.
-
-Row order is link order, and link order sets route and trunk choice, so
-a builder lists its rows in the order the links must be created.
+Each link of Figures 1-3, 7, 8, 9 and the §6 3G TR baseline is one row
+``(a, b, interface, LatencyProfile field)`` handed to :func:`wire`, with
+the codec mode (``wire_fidelity``) fixed once per network.  Row order is
+link order, which sets route and trunk choice.  The sub-assemblies the
+builders share are built here, once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.gprs.ggsn import Ggsn
 from repro.gprs.sgsn import Sgsn
@@ -59,17 +53,9 @@ class LatencyProfile:
     def scaled_core(self, factor: float) -> "LatencyProfile":
         """A copy with the packet-core latencies (Gb/Gn/Gi/IP) scaled —
         the E8 sweep axis."""
-        return LatencyProfile(
-            um=self.um,
-            abis=self.abis,
-            a=self.a,
-            ss7=self.ss7,
-            gb=self.gb * factor,
-            gn=self.gn * factor,
-            gi=self.gi * factor,
-            ip=self.ip * factor,
-            isup=self.isup,
-            international=self.international,
+        return replace(
+            self, gb=self.gb * factor, gn=self.gn * factor,
+            gi=self.gi * factor, ip=self.ip * factor,
         )
 
 
@@ -80,7 +66,7 @@ TERMINAL_IP_BASE = IPv4Address.parse("192.0.2.10")
 
 #: One link: endpoints, interface and the :class:`LatencyProfile` field
 #: that gives its delay.
-Row = Tuple[Union[Node, str], Union[Node, str], str, str]
+Row = Tuple[Node, Node, str, str]
 
 
 def wire(
@@ -98,7 +84,6 @@ def wire(
 
 
 def packet_core(
-    sim: Any,
     net: Network,
     latencies: LatencyProfile,
     wire_fidelity: bool,
@@ -109,12 +94,12 @@ def packet_core(
     """The IP cloud with its gatekeeper, and the GGSN/SGSN pair behind
     it on Gi/Gn: the part of Figure 2(b) the vGPRS and 3G TR networks
     share."""
-    cloud = IPCloud(sim, "IPNET")
-    gk = Gatekeeper(sim, "GK", ip=GK_IP, max_concurrent_calls=gk_max_calls)
-    ggsn = Ggsn(sim, "GGSN", remember_released=remember_released)
-    sgsn = Sgsn(sim, "SGSN", ready_timeout=ready_timeout)
-    for node in (cloud, gk, ggsn, sgsn):
-        net.add(node)
+    sim = net.sim
+    cloud = net.add(IPCloud(sim, "IPNET"))
+    gk = net.add(Gatekeeper(sim, "GK", ip=GK_IP,
+                            max_concurrent_calls=gk_max_calls))
+    ggsn = net.add(Ggsn(sim, "GGSN", remember_released=remember_released))
+    sgsn = net.add(Sgsn(sim, "SGSN", ready_timeout=ready_timeout))
     wire(net, latencies, [
         (gk, cloud, Interface.IP, "ip"),
         (ggsn, cloud, Interface.GI, "gi"),
@@ -125,7 +110,6 @@ def packet_core(
 
 
 def bss(
-    sim: Any,
     net: Network,
     bsc: Bsc,
     bts_names: Sequence[str],
@@ -133,10 +117,9 @@ def bss(
 ) -> Tuple[List[Bts], List[Row]]:
     """Add *bsc* and one BTS per name; returns the cells and their Abis
     rows (the caller places the BSC's uplink row)."""
-    btss = [Bts(sim, name, packet_channel_bps=packet_channel_bps)
+    net.add(bsc)
+    btss = [net.add(Bts(net.sim, name, packet_channel_bps=packet_channel_bps))
             for name in bts_names]
-    for node in (bsc, *btss):
-        net.add(node)
     return btss, [(bts, bsc, Interface.ABIS, "abis") for bts in btss]
 
 
@@ -165,7 +148,7 @@ def provision_ms(
         profile=SubscriberProfile(international_allowed=international_allowed),
     )
     hlr.add_subscriber(subscriber)
-    ms = MobileStation(
+    ms = nw.net.add(MobileStation(
         nw.sim,
         name,
         imsi=subscriber.imsi,
@@ -175,29 +158,27 @@ def provision_ms(
         lai=lai,
         answer_delay=answer_delay,
         use_tmsi_for_updates=use_tmsi_for_updates,
-    )
-    nw.net.add(ms)
+    ))
     cover(nw, ms, bts)
     return ms
 
 
 def attach_terminal(
-    nw: Any, name: str, alias: str, answer_delay: float
+    nw: Any, name: str, alias: str, answer_delay: float = 1.0
 ) -> H323Terminal:
     """Attach an H.323 terminal to *nw*'s IP cloud and register it with
     the gatekeeper: the ``add_terminal`` of the vGPRS and 3G TR
     networks."""
     nw._terminal_count += 1
     ip = IPv4Address(TERMINAL_IP_BASE.value + nw._terminal_count)
-    terminal = H323Terminal(
+    terminal = nw.net.add(H323Terminal(
         nw.sim,
         name,
         ip=ip,
         alias=E164Number.parse(alias),
         gk_ip=nw.gk.ip,
         answer_delay=answer_delay,
-    )
-    nw.net.add(terminal)
+    ))
     wire(nw.net, nw.latencies, [(terminal, nw.cloud, Interface.IP, "ip")],
          nw.wire_fidelity)
     terminal.register()
@@ -206,8 +187,7 @@ def attach_terminal(
 
 
 def attach_phone(
-    sim: Any,
-    net: Network,
+    nw: Any,
     exchange: PstnSwitch,
     name: str,
     number: str,
@@ -218,10 +198,9 @@ def attach_phone(
     :func:`wire` does not build: the subscriber loop has always run with
     wire fidelity off, and ``link.tx_bytes`` (the benchmark's
     ``packets.wire_bytes``) depends on it staying off."""
-    phone = PstnPhone(
-        sim, name, E164Number.parse(number), answer_delay=answer_delay
-    )
-    net.add(phone)
-    net.connect(phone, exchange, Interface.ISUP, latency)
+    phone = nw.net.add(PstnPhone(
+        nw.sim, name, E164Number.parse(number), answer_delay=answer_delay
+    ))
+    nw.net.connect(phone, exchange, Interface.ISUP, latency)
     exchange.add_local(phone.number, phone.name)
     return phone

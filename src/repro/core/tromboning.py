@@ -67,7 +67,8 @@ def build_vgprs_roaming_network(
     ledger = TrunkLedger()
 
     # The home HLR lives in the UK; the visited vGPRS network's VLR
-    # reaches it over its D link (the builder adds the HLR passed in).
+    # reaches it over an international D link (handled inside the
+    # builder by passing the HLR in).
     hlr_uk = Hlr(sim, "HLR-UK")
     vgprs = build_vgprs_network(
         latencies=latencies,
@@ -77,19 +78,22 @@ def build_vgprs_roaming_network(
     )
 
     net = vgprs.net
-    exchange_hk = PstnSwitch(sim, "EX-HK", country_code=HONG_KONG,
-                             ledger=ledger, cic_start=100000)
-    gmsc_uk = Gmsc(sim, "GMSC-UK", country_code=UK, ledger=ledger)
-    gmsc_uk.add_home_prefix(UK_MOBILE_PREFIX)
-    gateway = H323PstnGateway(
-        sim,
-        "GW-HK",
-        ip=GATEWAY_IP,
-        alias=E164Number(HONG_KONG, "29999999"),
-        gk_ip=vgprs.gk.ip,
+    exchange_hk = net.add(
+        PstnSwitch(sim, "EX-HK", country_code=HONG_KONG, ledger=ledger,
+                   cic_start=100000)
     )
-    for node in (exchange_hk, gmsc_uk, gateway):
-        net.add(node)
+    gmsc_uk = net.add(Gmsc(sim, "GMSC-UK", country_code=UK, ledger=ledger))
+    gmsc_uk.add_home_prefix(UK_MOBILE_PREFIX)
+
+    gateway = net.add(
+        H323PstnGateway(
+            sim,
+            "GW-HK",
+            ip=GATEWAY_IP,
+            alias=E164Number(HONG_KONG, "29999999"),
+            gk_ip=vgprs.gk.ip,
+        )
+    )
     wire(net, latencies, [
         (gmsc_uk, hlr_uk, Interface.C, "ss7"),
         (gateway, vgprs.cloud, Interface.IP, "ip"),
@@ -102,8 +106,9 @@ def build_vgprs_roaming_network(
     exchange_hk.add_route("+44", gateway.name, international=False)
     exchange_hk.add_route("+44", gmsc_uk.name, international=True)
 
-    phone_y = attach_phone(sim, net, exchange_hk, "PHONE-Y", "+85221234567",
+    phone_y = attach_phone(vgprs, exchange_hk, "PHONE-Y", "+85221234567",
                            1.0, LOCAL_LOOP)
+
     return VgprsRoamingNetwork(
         vgprs=vgprs,
         ledger=ledger,

@@ -15,7 +15,7 @@ message class catches subclasses as well.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from repro.errors import TopologyError
 from repro.net.link import Link
@@ -189,6 +189,9 @@ class Node:
         return f"<{type(self).__name__} {self.name}>"
 
 
+NodeT = TypeVar("NodeT", bound=Node)
+
+
 class Network:
     """Container of nodes and links; the topology factory."""
 
@@ -197,7 +200,7 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
 
-    def add(self, node: Node) -> Node:
+    def add(self, node: NodeT) -> NodeT:
         if node.name in self.nodes:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
