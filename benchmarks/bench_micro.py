@@ -2,7 +2,8 @@
 
 * packet build/parse throughput for the scapy-style codec, and one link
   hop as wire-fidelity links run it (the ``wire_copy`` round trip and
-  trace_info), with the decode memo warm and cold;
+  one trace entry of the delivered bytes), with the decode memo warm and
+  cold;
 * discrete-event kernel throughput — a soak-style *population* shape
   (1000 pending events at all times, exercising heap ordering) and a
   serial *chain* shape (one pending event, pure dispatch overhead);
@@ -60,24 +61,33 @@ def test_micro_packet_roundtrip(benchmark):
     assert benchmark(roundtrip) == SAMPLE
 
 
-def _hop(packet):
+def _trace():
+    """A trace recorder that hands each entry to its sinks (the span
+    tracker) without keeping it, so rounds do not pile up entries."""
+    sim = Simulator()
+    sim.retain_history = False
+    return sim.trace
+
+
+def _hop(packet, trace):
     """One wire-fidelity link hop: what ``Link.transmit`` and
-    ``Link._deliver`` do to every traced message."""
-    received, _ = packet.wire_copy()
-    received.trace_info()
+    ``Link._deliver`` do to every traced message, the round trip and
+    one trace entry that keeps the delivered bytes."""
+    received, snapshot = packet.wire_copy()
+    trace.record_wire("A", "B", "Gn", received.flow_name(), snapshot)
     return received
 
 
-def _relayed():
+def _relayed(trace):
     """Two hops with a relay between them: the renamed outer layer keeps
     its received slice, so the second hop clones every layer."""
-    return _hop(rename_packet(_hop(SAMPLE), IPv4))
+    return _hop(rename_packet(_hop(SAMPLE, trace), IPv4), trace)
 
 
 def test_micro_packet_hop(benchmark):
     """The decode memo is warm after the first round, so every fresh
     layer is a hit: the best case."""
-    got = benchmark(_relayed)
+    got = benchmark(_relayed, _trace())
     assert got == SAMPLE
     assert got.build() == WIRE
 
@@ -86,9 +96,11 @@ def test_micro_packet_hop_cold(benchmark):
     """The same two hops with the decode memo cleared first, so every
     fresh layer of the first hop is decoded in full: the worst case."""
 
+    trace = _trace()
+
     def cold():
         _decode_layer.cache_clear()
-        return _relayed()
+        return _relayed(trace)
 
     got = benchmark(cold)
     assert got == SAMPLE

@@ -19,7 +19,6 @@ from typing import Dict, List, Tuple
 from repro.errors import FaultPlanError, TopologyError
 from repro.faults.plan import (
     FaultPlan,
-    LinkImpairmentFault,
     LinkStateFault,
     NodeCrashFault,
 )

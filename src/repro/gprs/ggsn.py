@@ -28,7 +28,6 @@ from repro.net.interfaces import Interface
 from repro.net.ip import IPCloud
 from repro.net.node import Node, handles
 from repro.net.transactions import Sequencer
-from repro.packets.base import Packet
 from repro.packets.gtp import (
     CAUSE_ACCEPTED,
     CAUSE_NO_RESOURCES,

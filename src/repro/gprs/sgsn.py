@@ -66,7 +66,6 @@ from repro.packets.gtp import (
     CAUSE_ACCEPTED,
     CAUSE_UNKNOWN_PDP,
 )
-from repro.identities import TunnelId
 
 
 @dataclass

@@ -26,10 +26,14 @@ def rename_packet(packet: Packet, target: Type[Packet]) -> Packet:
     ):
         # Siblings sharing a plan code the same fields the same way: the
         # values carry over as they are, and a received slice only needs
-        # the target's wire id.
-        wire = packet.__dict__.get("_wire")
+        # the target's wire id.  Its correlation items carry over too
+        # when both classes describe themselves with the same info().
+        state = packet.__dict__
+        wire = state.get("_wire")
         clone = target._trusted(
-            values, None if wire is None else target._wire_prefix + wire[2:]
+            values,
+            None if wire is None else target._wire_prefix + wire[2:],
+            state.get("_corr") if target.info is type(packet).info else None,
         )
     else:
         target_names = {f.name for f in target.fields}

@@ -9,7 +9,9 @@ receiver's dispatch method.
 With ``wire_fidelity`` enabled the receiver gets what re-parsing the
 serialised packet would give (:meth:`Packet.wire_copy`), so encode/decode
 bugs surface in every integration test rather than only in codec unit
-tests.
+tests.  The round trip's snapshot (bytes and correlation items) travels
+with the delivery to the trace (:meth:`TraceRecorder.record_wire`),
+which keeps the bytes instead of building the info dict.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.errors import TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
-    from repro.packets.base import Packet
+    from repro.packets.base import Packet, WireSnapshot
 
 
 class LinkImpairment:
@@ -133,11 +135,13 @@ class Link:
             return
         delay = self.latency
         payload = packet
+        snapshot: Optional["WireSnapshot"] = None
         if self.wire_fidelity or self.bit_rate:
             if self.wire_fidelity:
                 # Every layer is encoded or re-emitted, as build() does;
                 # each distinct encoding is decoded once per process.
-                payload, size = packet.wire_copy()
+                payload, snapshot = packet.wire_copy()
+                size = len(snapshot[0])
             else:
                 size = len(packet.build())
             self.tx_bytes += size
@@ -152,23 +156,34 @@ class Link:
         hops = self.sim.hops
         if hops is not None:
             hops.on_transmit(src, dst, self.interface, packet, delay)
-        self.sim.schedule(delay, self._deliver, payload, src, dst)
+        self.sim.schedule(delay, self._deliver, payload, src, dst, snapshot)
 
-    def _deliver(self, packet: "Packet", src: "Node", dst: "Node") -> None:
+    def _deliver(
+        self,
+        packet: "Packet",
+        src: "Node",
+        dst: "Node",
+        snapshot: Optional["WireSnapshot"],
+    ) -> None:
         trace = self.sim.trace
         if trace.enabled:
             # Resolve the flow name before building the (comparatively
             # expensive) info dict, so quiet messages pay almost nothing.
             name = packet.flow_name()
             if name not in trace.quiet_names:
-                trace.record(
-                    "msg",
-                    src.name,
-                    dst.name,
-                    self.interface,
-                    name,
-                    **packet.trace_info(),
-                )
+                if snapshot is None:
+                    trace.record(
+                        "msg",
+                        src.name,
+                        dst.name,
+                        self.interface,
+                        name,
+                        **packet.trace_info(),
+                    )
+                else:
+                    trace.record_wire(
+                        src.name, dst.name, self.interface, name, snapshot
+                    )
         dst.receive(packet, src, self.interface)
 
     def __repr__(self) -> str:  # pragma: no cover

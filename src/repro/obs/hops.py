@@ -23,7 +23,7 @@ byte-identical with it on or off.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Figure-3 link order, used to sort waterfall rows the way the paper
 #: draws the protocol stack (unknown interfaces sort after, by name).

@@ -276,11 +276,15 @@ class SpanTracker:
 
     def on_entry(self, entry: Any) -> None:
         """Trace sink: attach *entry* to the innermost open span
-        sharing a correlation key, learning transaction ids on the way."""
+        sharing a correlation key, learning transaction ids on the way.
+
+        Reads only the correlation keys (:meth:`TraceEntry.correlation`),
+        so an entry recorded from delivered bytes is matched without
+        building its ``info`` dict."""
         by_key = self._open_by_key
         if not by_key and not self._learned:
             return
-        info = entry.info
+        info = entry.correlation()
         best: Optional[Span] = None
         for field in CORRELATION_FIELDS:
             value = info.get(field)

@@ -25,7 +25,11 @@ round trip clones it with its values until one of its fields is
 assigned.  Any other layer is encoded by its plan and decoded once per
 distinct byte string, through a bounded memo.  A decode is a pure
 function of its bytes and every decoded value is immutable, so neither
-shortcut can be told apart from a re-parse.
+shortcut can be told apart from a re-parse.  The round trip also hands
+the link the delivered bytes and each layer's correlation items, which
+the memo computes once per distinct layer and received layers carry
+with their slice: the trace keeps the bytes, and the span tracker reads
+the correlation keys, without building :meth:`Packet.trace_info`.
 
 Tracing: each layer sets ``show_in_flow`` — transport layers (IPv4, UDP,
 GTP) set it ``False`` so that :meth:`Packet.flow_name` names the innermost
@@ -70,6 +74,12 @@ _EncodeStep = Tuple[Callable[..., bytes], Callable[[Dict[str, Any]], Any], bool]
 #: integer run, or ``None`` for a single field (``names``/``fields`` then
 #: have one entry).
 _DecodeStep = Tuple[Optional[struct.Struct], Tuple[str, ...], Tuple[Field, ...]]
+#: One layer's share of the correlation keys of :meth:`Packet.trace_info`:
+#: ``(key, value, from_info)`` items, merged by :func:`merge_correlation`.
+Correlation = Tuple[Tuple[str, Any, bool], ...]
+#: What a link delivered: the packet's bytes and each layer's
+#: correlation items, outermost first (:meth:`Packet.wire_copy`).
+WireSnapshot = Tuple[bytes, Tuple[Correlation, ...]]
 
 
 class Packet:
@@ -160,17 +170,24 @@ class Packet:
         return self._values.get(name, default)
 
     @classmethod
-    def _trusted(cls: Type[P], values: Dict[str, Any], wire: Optional[bytes]) -> P:
+    def _trusted(
+        cls: Type[P],
+        values: Dict[str, Any],
+        wire: Optional[bytes],
+        corr: Optional[Correlation] = None,
+    ) -> P:
         """A *cls* layer holding a copy of *values*, which are already
         valid (decode output, or another layer's stored values), and the
-        ``[wire_id][fields]`` slice *wire* they encode to, if known.
-        Nothing is validated or encoded."""
+        ``[wire_id][fields]`` slice *wire* they encode to, if known, with
+        its correlation items *corr*.  Nothing is validated or encoded."""
         packet = cls.__new__(cls)
         state = packet.__dict__
         state["payload"] = None
         state["_values"] = dict(values)
         if wire is not None:
             state["_wire"] = wire
+            if corr is not None:
+                state["_corr"] = corr
         return packet
 
     def __setattr__(self, key: str, value: Any) -> None:
@@ -181,7 +198,9 @@ class Packet:
         if field is not None:
             self._values[key] = field.validate(value)
             # The relayed wire slice no longer matches the values.
-            self.__dict__.pop("_wire", None)
+            state = self.__dict__
+            state.pop("_wire", None)
+            state.pop("_corr", None)
             return
         object.__setattr__(self, key, value)
 
@@ -254,6 +273,20 @@ class Packet:
         """Per-layer trace detail; subclasses override."""
         return {}
 
+    def _correlation(self) -> Correlation:
+        """This layer's share of the correlation keys of
+        :meth:`trace_info`: its declared correlation fields, then the
+        correlation keys of its ``info()``."""
+        items: List[Tuple[str, Any, bool]] = []
+        for key, stringify in type(self)._plan.correlation:
+            value = self._values[key]
+            if value is not None:
+                items.append((key, str(value) if stringify else value, False))
+        for key, value in self.info().items():
+            if key in Packet.CORRELATION_FIELDS:
+                items.append((key, value, True))
+        return tuple(items)
+
     # ------------------------------------------------------------------
     # Wire codec
     # ------------------------------------------------------------------
@@ -268,34 +301,45 @@ class Packet:
             layer = state["payload"]
         return b"".join(parts)
 
-    def wire_copy(self) -> Tuple["Packet", int]:
-        """What ``Packet.parse(self.build())`` returns, and the length of
-        those bytes, decoding each distinct layer once.
+    def wire_copy(self) -> Tuple["Packet", WireSnapshot]:
+        """What ``Packet.parse(self.build())`` returns, and a snapshot of
+        the delivery: those bytes and the correlation items of each
+        layer.  Each distinct layer is decoded once.
 
         This is the wire-fidelity link's round trip.  A layer that still
-        carries its received slice is cloned with its values, with no
-        scan and no decode.  Any other layer is encoded by its plan, as
-        ``build`` does, and the bytes are decoded through a bounded
-        memo: a miss decodes them in full, and checks that the decode
-        consumes exactly those bytes.  Every copy keeps its slice, so
-        the next hop clones it in turn."""
+        carries its received slice is cloned with its values and
+        correlation items, with no scan and no decode.  Any other layer
+        is encoded by its plan, as ``build`` does, and the bytes are
+        decoded through a bounded memo: a miss decodes them in full,
+        checks that the decode consumes exactly those bytes and computes
+        the layer's correlation items.  Every copy keeps its slice, so
+        the next hop clones it in turn.
+
+        ``merge_correlation`` of the items equals the correlation keys
+        of ``trace_info()`` on the copy, so a trace can keep the bytes
+        and the span tracker need not build the info dict."""
         copies: List[Packet] = []
-        nbytes = 0
+        wires: List[bytes] = []
+        corrs: List[Correlation] = []
         layer: Optional[Packet] = self
         while layer is not None:
             state = layer.__dict__
             wire = state.get("_wire")
             if wire is None:
                 wire = _encode_layer(layer)
-                klass, values = _decode_layer(wire)
+                klass, values, corr = _decode_layer(wire)
             else:
                 klass, values = type(layer), state["_values"]
-            nbytes += len(wire)
-            copies.append(klass._trusted(values, wire))
+                corr = state.get("_corr")
+                if corr is None:  # a relay renamed the layer
+                    corr = layer._correlation()
+            wires.append(wire)
+            corrs.append(corr)
+            copies.append(klass._trusted(values, wire, corr))
             layer = state["payload"]
         for outer, inner in zip(copies, copies[1:]):
             outer.__dict__["payload"] = inner
-        return copies[0], nbytes
+        return copies[0], (b"".join(wires), tuple(corrs))
 
     @classmethod
     def parse(cls, data: bytes) -> "Packet":
@@ -335,7 +379,10 @@ class Packet:
     def copy(self) -> "Packet":
         # Stored values were validated when set or decoded; a required
         # field still unset raises at build(), as on the original.
-        clone = type(self)._trusted(self._values, self.__dict__.get("_wire"))
+        state = self.__dict__
+        clone = type(self)._trusted(
+            self._values, state.get("_wire"), state.get("_corr")
+        )
         if self.payload is not None:
             clone.payload = self.payload.copy()
         return clone
@@ -480,8 +527,9 @@ _DECODED_LIMIT = 4096
 
 
 @lru_cache(maxsize=_DECODED_LIMIT)
-def _decode_layer(wire: bytes) -> Tuple[Type[Packet], Dict[str, Any]]:
-    """The class and values that *wire*, one whole layer, decodes to.
+def _decode_layer(wire: bytes) -> Tuple[Type[Packet], Dict[str, Any], Correlation]:
+    """The class and values that *wire*, one whole layer, decodes to,
+    and the layer's correlation items.
 
     Memoised per process: a decode is a pure function of its bytes, so
     what the memo holds never shows in any output.  The values dict is
@@ -492,7 +540,19 @@ def _decode_layer(wire: bytes) -> Tuple[Type[Packet], Dict[str, Any]]:
             f"{type(layer).__name__}: decode consumed {end} of "
             f"{len(wire)} encoded bytes"
         )
-    return type(layer), layer._values
+    return type(layer), layer._values, layer._correlation()
+
+
+def merge_correlation(layers: Sequence[Correlation]) -> Dict[str, Any]:
+    """The correlation keys of ``trace_info()`` from each layer's
+    :meth:`Packet._correlation`, outermost first: a declared field
+    fills a key no earlier layer set, an ``info()`` item overrides."""
+    keys: Dict[str, Any] = {}
+    for items in layers:
+        for key, value, from_info in items:
+            if from_info or key not in keys:
+                keys[key] = value
+    return keys
 
 
 class Raw(Packet):

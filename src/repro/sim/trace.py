@@ -12,30 +12,44 @@ Recorded ``"msg"`` entries are additionally indexed by message name, so
 executed event while waiting for a flow step — are O(1) instead of
 rescanning the entry list.
 
+An entry costs what its readers use.  A message delivered over a
+wire-fidelity link is recorded with the bytes the link already made
+(:meth:`TraceRecorder.record_wire`); its ``info`` dict is decoded from
+them on first read and then kept.  While the sinks run, such an entry
+also carries the delivered layers' correlation items, so the span
+tracker reads the correlation keys (:meth:`TraceEntry.correlation`)
+without the dict.  Entries recorded any other way (wire-off links,
+drops, notes) hold their ``info`` dict from the start.
+
 Retained history is opt-in per run.  Batch runs, tests and the flow
 projections keep every entry (the default).  A long-lived run switches
-``Simulator.retain_history`` off: each entry is still built and handed
-to every sink (spans, flight recorder), then counted in
-:attr:`TraceRecorder.dropped` instead of kept, so memory stays flat in
-run length; ``repro serve`` does this unless an exporter (``--trace-out``,
-``--timeline-out``) needs the whole run.  Queries and
-exporters then raise :class:`~repro.errors.TraceWindowError` rather than
-answer from an empty list.  Soak runs can also disable the recorder
-(``enabled = False``) or keep a rolling window
-(:meth:`TraceRecorder.set_limit`).
+``Simulator.retain_history`` off: each entry is handed to every sink
+(spans, flight recorder), then counted in :attr:`TraceRecorder.dropped`
+instead of kept, so memory stays flat in run length; ``repro serve``
+does this unless an exporter (``--trace-out``, ``--timeline-out``) needs
+the whole run.  Queries and exporters then raise
+:class:`~repro.errors.TraceWindowError` rather than answer from an
+empty list.  Soak runs can also disable the recorder (``enabled =
+False``) or keep a rolling window (:meth:`TraceRecorder.set_limit`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import FrozenInstanceError
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import TraceWindowError
+from repro.packets.base import Packet, WireSnapshot, merge_correlation
+
+_set = object.__setattr__
+
+#: The positional fields of an entry, in constructor order.
+_FIELDS = ("time", "kind", "src", "dst", "interface", "message")
+_SLOTS = (*_FIELDS, "_data")
 
 
-@dataclass(frozen=True)
 class TraceEntry:
-    """One recorded protocol event.
+    """One recorded protocol event; immutable.
 
     Attributes
     ----------
@@ -53,8 +67,17 @@ class TraceEntry:
     message:
         Message name, e.g. ``"MAP_Update_Location"`` or ``"RAS_RRQ"``.
     info:
-        Free-form detail dictionary (call ids, IMSIs, ...).
+        Free-form detail dictionary (call ids, IMSIs, ...).  An entry
+        recorded from delivered bytes builds it on first read, as
+        ``Packet.parse(data).trace_info()``, and keeps it.
+
+    One slot, ``_data``, holds the ``info`` dict, or the delivered
+    bytes (the whole :data:`~repro.packets.base.WireSnapshot`, with the
+    layers' correlation items, while the sinks run).  Equality and
+    hashing ignore ``info``; pickling keeps the built dict.
     """
+
+    __slots__ = _SLOTS
 
     time: float
     kind: str
@@ -62,7 +85,77 @@ class TraceEntry:
     dst: str
     interface: str
     message: str
-    info: Dict[str, Any] = field(default_factory=dict, compare=False, hash=False)
+    _data: Union[Dict[str, Any], bytes, WireSnapshot]
+
+    def __init__(
+        self,
+        time: float,
+        kind: str,
+        src: str,
+        dst: str,
+        interface: str,
+        message: str,
+        info: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        _set(self, "time", time)
+        _set(self, "kind", kind)
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "interface", interface)
+        _set(self, "message", message)
+        _set(self, "_data", {} if info is None else info)
+
+    @property
+    def info(self) -> Dict[str, Any]:
+        data = self._data
+        if isinstance(data, dict):
+            return data
+        if isinstance(data, tuple):  # the sinks are running
+            data = data[0]
+        info = Packet.parse(data).trace_info()
+        _set(self, "_data", info)
+        return info
+
+    def correlation(self) -> Dict[str, Any]:
+        """A mapping holding at least the correlation keys of ``info``
+        (``imsi``, ``call_ref``, ``ti``, ``alias``, ``invoke_id``).
+
+        While the sinks run, an entry recorded from delivered bytes
+        merges them from the layers' correlation items; otherwise this
+        is ``info``."""
+        data = self._data
+        if isinstance(data, tuple):
+            return merge_correlation(data[1])
+        return self.info
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> Tuple[Any, ...]:
+        return (self.time, self.kind, self.src, self.dst, self.interface,
+                self.message)
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not TraceEntry:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __getstate__(self) -> Tuple[Any, ...]:
+        return (*self._key(), self.info)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        for name, value in zip(_SLOTS, state):
+            _set(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS)
+        return f"TraceEntry({fields}, info={self.info!r})"
 
     def triple(self) -> Tuple[str, str, str]:
         return (self.message, self.src, self.dst)
@@ -142,14 +235,37 @@ class TraceRecorder:
     ) -> None:
         if not self.enabled or message in self.quiet_names:
             return
-        entry = TraceEntry(self._clock(), kind, src, dst, interface, message, info)
+        self._add(TraceEntry(self._clock(), kind, src, dst, interface, message, info))
+
+    def record_wire(
+        self,
+        src: str,
+        dst: str,
+        interface: str,
+        message: str,
+        snapshot: WireSnapshot,
+    ) -> None:
+        """Record a ``"msg"`` entry for a message a wire-fidelity link
+        delivered, from the :meth:`Packet.wire_copy` *snapshot* of it.
+        The entry keeps the bytes and builds its ``info`` on first read;
+        the layers' correlation items serve the sinks and are let go
+        when they return.  The caller has checked ``enabled`` and
+        ``quiet_names``, as it must to name the message."""
+        entry = TraceEntry(self._clock(), "msg", src, dst, interface, message)
+        _set(entry, "_data", snapshot)
+        self._add(entry)
+        if entry._data is snapshot:  # no sink read info
+            _set(entry, "_data", snapshot[0])
+
+    def _add(self, entry: TraceEntry) -> None:
+        """Keep *entry* (when retaining) and hand it to every sink."""
         if self.retain:
             self.entries.append(entry)
-            if kind == "msg":
+            if entry.kind == "msg":
                 self._msg_count += 1
-                bucket = self._msg_index.get(message)
+                bucket = self._msg_index.get(entry.message)
                 if bucket is None:
-                    bucket = self._msg_index[message] = []
+                    bucket = self._msg_index[entry.message] = []
                 bucket.append(entry)
             if self._limit is not None and len(self.entries) > self._limit:
                 self._trim(self._limit)

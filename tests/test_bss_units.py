@@ -8,22 +8,13 @@ from repro.gprs.gb import GbUnitdata
 from repro.gsm.bsc import Bsc
 from repro.gsm.bts import Bts
 from repro.net.interfaces import Interface
-from repro.net.node import Network, Node, handles
-from repro.packets.base import Packet
+from repro.net.node import Network, Node
 from repro.packets.bssap import (
-    AAssignmentFailure,
     AAssignmentRequest,
     AClearCommand,
-    AClearComplete,
-    ALocationUpdate,
     APaging,
-    AbisLocationUpdate,
-    AbisPaging,
-    GsmMessage,
     UmLocationUpdateRequest,
-    UmPaging,
     UmSetup,
-    AbisSetup,
 )
 from repro.sim.kernel import Simulator
 

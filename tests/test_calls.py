@@ -1,8 +1,6 @@
 """Integration tests for MO calls, MT calls and release (§4/§5,
 Figures 5-6)."""
 
-import pytest
-
 from repro.core import scenarios
 from repro.core.flows import (
     NodeNames,

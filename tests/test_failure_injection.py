@@ -9,7 +9,6 @@ import pytest
 from repro.core import scenarios
 from repro.core.network import build_vgprs_network
 from repro.faults import apply_faults
-from repro.gprs.ggsn import Ggsn
 
 IMSI1 = "466920000000001"
 MSISDN1 = "+886935000001"

@@ -11,7 +11,6 @@ from repro.core import scenarios
 from repro.core.network import build_vgprs_network
 from repro.errors import FaultPlanError, TopologyError
 from repro.faults import (
-    FaultInjector,
     FaultPlan,
     LinkImpairmentFault,
     LinkStateFault,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import scenarios
 from repro.core.network import build_vgprs_network
-from repro.gprs.pdp import NSAPI_SIGNALLING
 
 IMSI1 = "466920000000001"
 MSISDN1 = "+886935000001"

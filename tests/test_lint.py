@@ -6,9 +6,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.lint import Baseline, LintConfig, ProjectModel, run_rules
+from repro.lint import Baseline, ProjectModel
 from repro.lint.baseline import inline_suppressed
 from repro.lint.cli import lint_paths, main as lint_main
 from repro.lint.rules import RULE_BITS

@@ -5,7 +5,13 @@ import pytest
 from repro.errors import FieldError, PacketError
 from repro.gsm.relay import rename_packet
 from repro.identities import IMSI, E164Number, IPv4Address, TunnelId
-from repro.packets.base import _WIRE_REGISTRY, Packet, Raw, _decode_layer
+from repro.packets.base import (
+    _WIRE_REGISTRY,
+    Packet,
+    Raw,
+    _decode_layer,
+    merge_correlation,
+)
 from repro.packets.bssap import (
     AuthenticationRequest,
     TchFrame,
@@ -273,16 +279,20 @@ class TestLazyParse:
         for frame in (pkt, _tunnelled(pkt)):
             wire = frame.build()
             _decode_layer.cache_clear()
+            keys = {k: v for k, v in frame.trace_info().items()
+                    if k in Packet.CORRELATION_FIELDS}
             for _memo in ("miss", "hit"):
-                copy, nbytes = frame.wire_copy()
+                copy, (data, corr) = frame.wire_copy()
                 assert copy == Packet.parse(wire) == frame
-                assert nbytes == len(wire)
+                assert data == wire
                 assert copy.build() == wire
                 assert copy.trace_info() == frame.trace_info()
+                assert merge_correlation(corr) == keys
                 assert copy.flow_name() == frame.flow_name()
             # The next hop clones the received slices.
-            relayed, nbytes = copy.wire_copy()
-            assert relayed == frame and nbytes == len(wire)
+            relayed, (data, corr) = copy.wire_copy()
+            assert relayed == frame and data == wire
+            assert merge_correlation(corr) == keys
             assert relayed.build() == wire
 
     def test_structural_errors_raise_at_lazy_parse(self, pkt):
@@ -416,6 +426,41 @@ def test_rename_keeps_constructor_defaults_for_unset_values():
     assert SiblingA._plan is SiblingB._plan
     assert rename_packet(SiblingA(tag=None), SiblingB).tag == "12"
     assert rename_packet(SiblingA(tag="7"), SiblingB).tag == "7"
+
+
+def test_correlation_items_follow_trace_info_precedence():
+    """The round trip's correlation items merge as ``trace_info`` does:
+    an ``info()`` item overrides an earlier layer's key, and a declared
+    field fills only a key no earlier layer set."""
+    imsi2 = IMSI("466920000000002")
+
+    class Quiet(Packet):
+        name = "CORR_QUIET"
+        fields = (ImsiField("imsi"),)
+
+    class Loud(Packet):
+        name = "CORR_LOUD"
+        fields = Quiet.fields
+
+        def info(self):
+            return {"imsi": "loud", "call_ref": None}
+
+    cases = [
+        (Quiet(imsi=IMSI1) / Loud(imsi=imsi2), {"imsi": "loud", "call_ref": None}),
+        (Loud(imsi=IMSI1) / Quiet(imsi=imsi2), {"imsi": "loud", "call_ref": None}),
+        (Quiet(imsi=IMSI1) / Quiet(imsi=imsi2), {"imsi": str(IMSI1)}),
+        # A relay rename re-derives the items for the new class.
+        (rename_packet(_received(Quiet(imsi=IMSI1)), Loud),
+         {"imsi": "loud", "call_ref": None}),
+    ]
+    for frame, expected in cases:
+        assert {k: v for k, v in frame.trace_info().items()
+                if k in Packet.CORRELATION_FIELDS} == expected
+        _decode_layer.cache_clear()
+        for _memo in ("miss", "hit"):
+            copy, (_, corr) = frame.wire_copy()
+            assert merge_correlation(corr) == expected
+        assert merge_correlation(copy.wire_copy()[1][1]) == expected
 
 
 def test_wire_ids_unique_across_registry():

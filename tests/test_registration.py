@@ -1,7 +1,5 @@
 """Integration tests for vGPRS registration (paper §3, Figure 4)."""
 
-import pytest
-
 from repro.core import scenarios
 from repro.core.flows import NodeNames, match_flow, registration_flow
 from repro.core.network import build_vgprs_network

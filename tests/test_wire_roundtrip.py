@@ -11,7 +11,12 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.net.link import Link
-from repro.packets.base import _DECODED_LIMIT, Packet, _decode_layer
+from repro.packets.base import (
+    _DECODED_LIMIT,
+    Packet,
+    _decode_layer,
+    merge_correlation,
+)
 from repro.serve.cli import build_serve_run, finish_serve_run, make_parser
 
 #: A short unpaced served run crossing a GK outage.
@@ -70,19 +75,24 @@ def test_every_hop_matches_the_eager_parse(run, memo, monkeypatch, tmp_path,
     hops = []
 
     def checked(packet):
-        copy, nbytes = wire_copy(packet)
+        copy, snapshot = wire_copy(packet)
+        data, corr = snapshot
         wire = packet.build()
         reference = Packet.parse(wire)
         assert _chain(copy) == _chain(reference)
-        assert nbytes == len(wire)
+        assert data == wire
         assert copy.build() == wire
-        assert copy.trace_info() == reference.trace_info()
+        info = reference.trace_info()
+        assert copy.trace_info() == info
+        assert merge_correlation(corr) == {
+            k: v for k, v in info.items() if k in Packet.CORRELATION_FIELDS
+        }
         assert copy.flow_name() == reference.flow_name()
         for layer in copy.layers():
             for value in layer._values.values():
                 hash(value)  # immutable values only
         hops.append(type(packet))
-        return copy, nbytes
+        return copy, snapshot
 
     monkeypatch.setattr(Packet, "wire_copy", checked)
     run(tmp_path)
